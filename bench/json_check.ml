@@ -15,7 +15,9 @@
    Telemetry JSONL streams: every line must validate against the
    snapshot schema, with dense sequence numbers and strictly increasing
    cycles; --min-snapshots additionally bounds the count from below.
-   --bisect files must follow the mi6.bisect/1 slice-report schema;
+   --bisect files must follow the mi6.bisect/1 slice-report schema, name
+   only audit channels, and — under the signature oracle — show a dump
+   difference for every component its signature blamed;
    --agrees-audit additionally cross-checks each diverged bisect report
    against an audit JSON: the auditor's first leaking baseline channel
    must be among the channels the bisector's diverging component hosts.
@@ -139,15 +141,23 @@ let check_bisect ?audit json =
   | Some (Json.Bool true) ->
     ignore (int_field "cycle");
     ignore (int_field "checkpoint_cycle");
-    (match str_field "oracle" with
+    let oracle = str_field "oracle" in
+    (match oracle with
     | Some ("signature" | "activity") | None -> ()
     | Some other -> bad "oracle is %S, want signature|activity" other);
     let component = str_field "component" in
-    (match (string_list "components", component) with
+    let components = string_list "components" in
+    (match (components, component) with
     | Some cs, Some c when not (List.mem c cs) ->
       bad "component %S missing from \"components\"" c
     | _ -> ());
     let channels = string_list "audit_channels" in
+    let audit_names = List.map Audit.channel_name Audit.all_channels in
+    Option.iter
+      (List.iter (fun ch ->
+           if not (List.mem ch audit_names) then
+             bad "audit_channels: unknown audit channel %S" ch))
+      channels;
     List.iter
       (fun name -> ignore (string_list name))
       [ "uops_a"; "uops_b"; "trace_a"; "trace_b" ];
@@ -155,12 +165,26 @@ let check_bisect ?audit json =
     | Some (Json.List diffs) ->
       List.iteri
         (fun i d ->
-          List.iter
-            (fun f ->
-              match Json.member f d with
-              | Some (Json.String _) -> ()
-              | _ -> bad "field_diff[%d]: missing string %S" i f)
-            [ "component"; "a"; "b"; "first_diff" ])
+          let str f =
+            match Json.member f d with
+            | Some (Json.String v) -> Some v
+            | _ ->
+              bad "field_diff[%d]: missing string %S" i f;
+              None
+          in
+          match (str "component", str "a", str "b", str "first_diff") with
+          | Some c, Some a, Some b, Some first when oracle = Some "signature" ->
+            (* Signature and dump derive from one fold: a component
+               blamed by its signature must show a dump difference. *)
+            (match components with
+            | Some cs when not (List.mem c cs) ->
+              bad "field_diff[%d]: component %S not in \"components\"" i c
+            | _ -> ());
+            if a = b then
+              bad "field_diff[%d]: %S blamed by its signature but its dumps \
+                   are equal" i c;
+            if first = "" then bad "field_diff[%d]: empty \"first_diff\"" i
+          | _ -> ())
         diffs
     | Some _ -> bad "\"field_diff\" is not a list"
     | None -> bad "missing \"field_diff\"");

@@ -2,17 +2,6 @@ type t = Arbiter | Mshr | Uq_dq | Dram | Cache | Walk | Purge | Btb | Rsb
 
 let all = [ Arbiter; Mshr; Uq_dq; Dram; Cache; Walk; Purge; Btb; Rsb ]
 
-let rank = function
-  | Arbiter -> 0
-  | Mshr -> 1
-  | Uq_dq -> 2
-  | Dram -> 3
-  | Cache -> 4
-  | Walk -> 5
-  | Purge -> 6
-  | Btb -> 7
-  | Rsb -> 8
-
 let to_audit = function
   | Arbiter -> Some Audit.Arbiter
   | Mshr -> Some Audit.Mshr
@@ -31,7 +20,8 @@ let name ch =
 
 let of_name s = List.find_opt (fun ch -> name ch = s) all
 
-let norm l = List.sort_uniq (fun a b -> compare (rank a) (rank b)) l
+(* [compare] orders constant constructors by declaration: {!all} order. *)
+let norm l = List.sort_uniq compare l
 
 (* Everything a memory access's timing travels through on its way to
    DRAM.  Which of these actually separates two secrets depends on the

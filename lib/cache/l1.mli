@@ -85,18 +85,16 @@ val replacement_signature : t -> int
     cycles.  Prefetch fills are excluded. *)
 val miss_latency : t -> Histogram.t
 
-(** Fold of input queue / MSHR / completion / flush-cursor state for the
-    quiet-cycle detector (see {!Mi6_util.Statesig}); the data array and
-    replacement metadata are excluded (they change only in cycles that
-    also move the included state). *)
-val structural_signature : t -> int
-
-(** Detailed render of the same state, for the byte-compare oracle. *)
-val dump_state : t -> Buffer.t -> unit
+(** [fold_state s t] feeds input queue / MSHR / completion /
+    flush-cursor state to [s] (quiet-cycle signature and dump oracle,
+    see {!Mi6_util.Statesig}); the data array and replacement metadata
+    are excluded (they change only in cycles that also move the included
+    state). *)
+val fold_state : Statesig.sink -> t -> unit
 
 (** Value snapshot of {e all} behavior-relevant state — tag array,
     replacement metadata, MSHRs, queues, flush cursor, and the
-    miss-latency histogram (everything {!structural_signature} excludes
+    miss-latency histogram (everything {!fold_state} excludes
     included).  The core-side link FIFOs are captured by the LLC's
     checkpoint, which owns the links array. *)
 type checkpoint

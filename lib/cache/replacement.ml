@@ -46,7 +46,7 @@ let scrub t =
     Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) l.stamps
 
 (* Checkpoint/restore of the program-dependent policy state — included in
-   machine checkpoints precisely because structural_signature leaves it
+   machine checkpoints precisely because the structural signature leaves it
    out: victim choice after a restore must replay identically. *)
 type checkpoint =
   | Ck_random of int64

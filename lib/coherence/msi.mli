@@ -6,6 +6,9 @@
 
 type t = I | S | M
 
+(** [rank] numbers the states in order: I→0, S→1, M→2. *)
+val rank : t -> int
+
 val leq : t -> t -> bool
 val lt : t -> t -> bool
 

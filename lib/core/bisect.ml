@@ -70,12 +70,9 @@ let diverged r = match r.r_outcome with Diverged _ -> true | Clean _ -> false
    file, UQ/DQ and fill traffic, and (its section folds the controller)
    the DRAM command stream. *)
 let audit_channels_of_component name =
-  let prefixed p =
-    String.length name >= String.length p && String.sub name 0 (String.length p) = p
-  in
   if name = "llc" then Audit.[ Arbiter; Mshr; Uq_dq; Cache; Dram ]
-  else if prefixed "l1" then [ Audit.Cache ]
-  else if prefixed "core" then Audit.[ Purge; Walk ]
+  else if String.starts_with ~prefix:"l1" name then [ Audit.Cache ]
+  else if String.starts_with ~prefix:"core" name then Audit.[ Purge; Walk ]
   else []
 
 let first_diff_excerpt a b =

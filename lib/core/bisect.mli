@@ -4,7 +4,7 @@
     recorder checkpoints each side periodically, locates the first cycle
     at which their structure state disagrees, and renders a causal
     slice: the diverging component, a field-level diff of its
-    [dump_state], the in-flight µops on both sides, and the last few
+    {!Tmachine.dump_sections} text, the in-flight µops on both sides, and the last few
     trace events each side emitted.
 
     Two comparison oracles, chosen automatically from the machines'

@@ -50,6 +50,7 @@ type t = {
   occupancy : Occupancy.t;
   telemetry : Telemetry.t;
   rstreams : rstream array;
+  sections : (string * (Statesig.sink -> unit)) list;
   mutable clock : int;
 }
 
@@ -105,8 +106,21 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
           ~stats
           ~pt_base_line:(pt_base_line ~core:i))
   in
+  (* One labelled structure-state section per component: the cores (each
+     covering its own walker), both L1s per core, and the LLC (which also
+     folds the links and the DRAM controller). *)
+  let section fmt fold i x = (Printf.sprintf fmt i, fun s -> fold s x) in
+  let sections =
+    List.concat
+      [
+        List.mapi (section "core%d" Core.fold_state) (Array.to_list cores);
+        List.mapi (section "l1d.%d" L1.fold_state) (Array.to_list l1ds);
+        List.mapi (section "l1i.%d" L1.fold_state) (Array.to_list l1is);
+        [ ("llc", fun s -> Llc.fold_state s llc) ];
+      ]
+  in
   { cores; l1ds; l1is; llc; stats; trace; selfprof; occupancy; telemetry;
-    rstreams; clock = 0 }
+    rstreams; sections; clock = 0 }
 
 (* Registry over every component's counters and distributions; values are
    read at export time, so build it once and export after the run. *)
@@ -155,81 +169,19 @@ let metrics m ~stats =
 let now t = t.clock
 let core t i = t.cores.(i)
 
-(* Whole-machine structure signature: the cores (each covering its own
-   walker), both L1s per core, and the LLC (which also folds the links
-   and the DRAM controller). *)
+(* Views of [sections]: the whole-machine signature, the dump oracle,
+   and bisect's per-component blame and field diff. *)
 let structural_signature t =
-  let h = ref Statesig.empty in
-  Array.iter
-    (fun c -> h := Statesig.mix !h (Core.structural_signature c))
-    t.cores;
-  Array.iter (fun l -> h := Statesig.mix !h (L1.structural_signature l)) t.l1ds;
-  Array.iter (fun l -> h := Statesig.mix !h (L1.structural_signature l)) t.l1is;
-  Statesig.mix !h (Llc.structural_signature t.llc)
+  Statesig.signature (fun s -> List.iter (fun (_, fold) -> fold s) t.sections)
 
-let dump_state t =
-  let buf = Buffer.create 4096 in
-  Array.iter
-    (fun c ->
-      Core.dump_state c buf;
-      Buffer.add_char buf '\n')
-    t.cores;
-  Array.iter
-    (fun l ->
-      L1.dump_state l buf;
-      Buffer.add_char buf '\n')
-    t.l1ds;
-  Array.iter
-    (fun l ->
-      L1.dump_state l buf;
-      Buffer.add_char buf '\n')
-    t.l1is;
-  Llc.dump_state t.llc buf;
-  Buffer.contents buf
-
-(* Per-component views of the same state, for causal-slice reports:
-   which component's signature diverged, and a labelled dump of each to
-   diff field-by-field. *)
 let signature_sections t =
-  List.concat
-    [
-      Array.to_list
-        (Array.mapi
-           (fun i c -> (Printf.sprintf "core%d" i, Core.structural_signature c))
-           t.cores);
-      Array.to_list
-        (Array.mapi
-           (fun i l -> (Printf.sprintf "l1d.%d" i, L1.structural_signature l))
-           t.l1ds);
-      Array.to_list
-        (Array.mapi
-           (fun i l -> (Printf.sprintf "l1i.%d" i, L1.structural_signature l))
-           t.l1is);
-      [ ("llc", Llc.structural_signature t.llc) ];
-    ]
+  List.map (fun (label, fold) -> (label, Statesig.signature fold)) t.sections
 
 let dump_sections t =
-  let dump f x =
-    let buf = Buffer.create 1024 in
-    f x buf;
-    Buffer.contents buf
-  in
-  List.concat
-    [
-      Array.to_list
-        (Array.mapi
-           (fun i c -> (Printf.sprintf "core%d" i, dump Core.dump_state c))
-           t.cores);
-      Array.to_list
-        (Array.mapi
-           (fun i l -> (Printf.sprintf "l1d.%d" i, dump L1.dump_state l))
-           t.l1ds);
-      Array.to_list
-        (Array.mapi
-           (fun i l -> (Printf.sprintf "l1i.%d" i, dump L1.dump_state l))
-           t.l1is);
-      [ ("llc", dump Llc.dump_state t.llc) ];
-    ]
+  List.map (fun (label, fold) -> (label, Statesig.dump fold)) t.sections
+
+let dump_state t =
+  String.concat "\n" (List.map (fun (l, d) -> l ^ ": " ^ d) (dump_sections t))
 
 let committed t =
   Array.fold_left (fun n c -> n + Core.committed_instructions c) 0 t.cores

@@ -34,24 +34,27 @@ val finished : t -> bool
 (** Committed instructions summed over all cores. *)
 val committed : t -> int
 
-(** [structural_signature t] folds every component's structure state
-    (cores, walkers, L1s, LLC, links, DRAM) into one {!Mi6_util.Statesig}
-    hash; two consecutive cycles with equal signatures advanced nothing
-    but the clock (the quiet-cycle criterion). *)
+(** The machine's structure state is one labelled list of component
+    folds (see {!Mi6_util.Statesig}) — ["core0"], ["l1d.0"], ["l1i.0"],
+    …, ["llc"] — each core covering its walker and the LLC its links and
+    DRAM controller.  The four views below derive from that list. *)
+
+(** [structural_signature t] hashes every section into one value; two
+    consecutive cycles with equal signatures advanced nothing but the
+    clock (the quiet-cycle criterion). *)
 val structural_signature : t -> int
 
-(** [dump_state t] — labelled rendering of the same state
-    {!structural_signature} folds; the quiet-cycle property test
-    byte-compares consecutive dumps as the oracle. *)
+(** [dump_state t] — the same state rendered as text, one ["label: …"]
+    line per section; the quiet-cycle property test byte-compares
+    consecutive dumps as the oracle. *)
 val dump_state : t -> string
 
-(** Per-component {!structural_signature} values, labelled ["core0"],
-    ["l1d.0"], ["l1i.0"], …, ["llc"] — the bisector compares these to
-    name the diverging component. *)
+(** Per-section signatures — the bisector compares these to name the
+    diverging component. *)
 val signature_sections : t -> (string * int) list
 
-(** Per-component [dump_state] renderings under the same labels; slice
-    reports diff them field-by-field. *)
+(** Per-section dumps under the same labels; slice reports diff them
+    field-by-field. *)
 val dump_sections : t -> (string * string) list
 
 (** Value snapshot of the whole machine: every core (predictors, TLBs,

@@ -42,11 +42,6 @@ let restore t ck =
   | Reorder (d, _), Ck_reorder c -> Fr_fcfs.restore d c
   | _ -> invalid_arg "Controller.restore: checkpoint from a different model"
 
-let structural_signature = function
-  | Const (d, _) -> Dram.structural_signature d
-  | Reorder (d, _) -> Fr_fcfs.structural_signature d
-
-let dump_state t buf =
-  match t with
-  | Const (d, _) -> Dram.dump_state d buf
-  | Reorder (d, _) -> Fr_fcfs.dump_state d buf
+let fold_state s = function
+  | Const (d, _) -> Dram.fold_state s d
+  | Reorder (d, _) -> Fr_fcfs.fold_state s d

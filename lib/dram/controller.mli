@@ -24,9 +24,6 @@ val save : t -> checkpoint
     other backend. *)
 val restore : t -> checkpoint -> unit
 
-(** Fold of the active backend's structure state for the quiet-cycle
-    detector (see {!Mi6_util.Statesig}). *)
-val structural_signature : t -> int
-
-(** Detailed render of the same state, for the byte-compare oracle. *)
-val dump_state : t -> Buffer.t -> unit
+(** [fold_state s t] feeds the active backend's structure state to [s]
+    (quiet-cycle signature and dump oracle, see {!Mi6_util.Statesig}). *)
+val fold_state : Statesig.sink -> t -> unit

@@ -67,21 +67,13 @@ let restore t ck =
 (* Structure state for the quiet-cycle detector: the in-flight queue is
    the only cross-cycle mutable state (accepted_at only changes when the
    queue does). *)
-let structural_signature t =
-  let h = ref (Statesig.mix Statesig.empty (Fifo.length t.q)) in
-  Fifo.iter
-    (fun { req = { read; line; tag }; done_at } ->
-      h := Statesig.mix_bool !h read;
-      h := Statesig.mix !h line;
-      h := Statesig.mix !h tag;
-      h := Statesig.mix !h done_at)
-    t.q;
-  !h
-
-let dump_state t buf =
-  Printf.bprintf buf "dram.q=%d[" (Fifo.length t.q);
-  Fifo.iter
-    (fun { req = { read; line; tag }; done_at } ->
-      Printf.bprintf buf "(%b,%d,%d,%d)" read line tag done_at)
-    t.q;
-  Buffer.add_char buf ']'
+let fold_state s t =
+  let open Statesig in
+  field s "q";
+  fifo s
+    (fun s { req = { read; line; tag }; done_at } ->
+      bool s read;
+      int s line;
+      int s tag;
+      int s done_at)
+    t.q

@@ -159,64 +159,35 @@ let restore t ck =
    service state, and the response fifo.  Open rows are included — a row
    opened this cycle changes future timing even if the queues look the
    same. *)
-let structural_signature t =
-  let h = ref Statesig.empty in
-  let i v = h := Statesig.mix !h v in
-  let req r =
-    h := Statesig.mix_bool !h r.read;
-    i r.line;
-    i r.tag
+let fold_state s t =
+  let open Statesig in
+  let req s r =
+    bool s r.read;
+    int s r.line;
+    int s r.tag
   in
-  i (List.length t.queue);
-  List.iter
-    (fun w ->
-      req w.w_req;
-      i w.w_seq)
+  field s "q";
+  list s
+    (fun s w ->
+      req s w.w_req;
+      int s w.w_seq)
     t.queue;
-  Array.iter
-    (fun b ->
-      i (match b.open_row with None -> -1 | Some r -> r);
-      i b.busy_until;
-      match b.current with
-      | None -> i (-1)
-      | Some (r, done_at) ->
-        req r;
-        i done_at)
+  field s "banks";
+  array s
+    (fun s b ->
+      field s "row"; opt s int b.open_row;
+      field s "busy"; int s b.busy_until;
+      field s "cur";
+      opt s
+        (fun s (r, done_at) ->
+          req s r;
+          int s done_at)
+        b.current)
     t.banks;
-  i t.seq;
-  i (Fifo.length t.ready);
-  Fifo.iter
-    (fun (done_at, r) ->
-      i done_at;
-      req r)
-    t.ready;
-  !h
-
-let dump_state t buf =
-  let req r = Printf.bprintf buf "(%b,%d,%d)" r.read r.line r.tag in
-  Printf.bprintf buf "frfcfs.q=%d[" (List.length t.queue);
-  List.iter
-    (fun w ->
-      req w.w_req;
-      Printf.bprintf buf "@%d;" w.w_seq)
-    t.queue;
-  Buffer.add_string buf "] banks[";
-  Array.iter
-    (fun b ->
-      Printf.bprintf buf "row=%s busy=%d cur="
-        (match b.open_row with None -> "-" | Some r -> string_of_int r)
-        b.busy_until;
-      (match b.current with
-      | None -> Buffer.add_char buf '-'
-      | Some (r, done_at) ->
-        req r;
-        Printf.bprintf buf "@%d" done_at);
-      Buffer.add_char buf '|')
-    t.banks;
-  Printf.bprintf buf "] seq=%d ready=%d[" t.seq (Fifo.length t.ready);
-  Fifo.iter
-    (fun (done_at, r) ->
-      req r;
-      Printf.bprintf buf "@%d;" done_at)
-    t.ready;
-  Buffer.add_char buf ']'
+  field s "seq"; int s t.seq;
+  field s "ready";
+  fifo s
+    (fun s (done_at, r) ->
+      int s done_at;
+      req s r)
+    t.ready

@@ -38,9 +38,6 @@ type checkpoint
 val save : t -> checkpoint
 val restore : t -> checkpoint -> unit
 
-(** Fold of queue / bank / response state for the quiet-cycle detector
-    (see {!Mi6_util.Statesig}). *)
-val structural_signature : t -> int
-
-(** Detailed render of the same state, for the byte-compare oracle. *)
-val dump_state : t -> Buffer.t -> unit
+(** [fold_state s t] feeds queue / bank / response state to [s]
+    (quiet-cycle signature and dump oracle, see {!Mi6_util.Statesig}). *)
+val fold_state : Statesig.sink -> t -> unit

@@ -789,7 +789,7 @@ let invalidate_region t ~geometry ~region =
 (* Checkpoint/restore                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything behavior-relevant, including what structural_signature
+(* Everything behavior-relevant, including what fold_state
    excludes: the tag array with its mutable directory metadata, the
    replacement state, and the occupancy histogram.  The child links are
    captured here because the LLC owns the links array (the L1s share the
@@ -886,109 +886,48 @@ let phase_code = function
   | P_dram_arrived -> 7
   | P_wait_uq -> 8
 
-let sig_msi = function Msi.M -> 2 | Msi.S -> 1 | Msi.I -> 0
+(* Messages and bit vectors enter the fold by their polymorphic hash.
+   Top-level, so the per-cycle fold does not allocate it. *)
+let hash s x = Statesig.int s (Hashtbl.hash x)
 
-let structural_signature t =
-  let h = ref Statesig.empty in
-  let i v = h := Statesig.mix !h v in
-  let b v = h := Statesig.mix_bool !h v in
-  i t.live;
-  Array.iter
-    (function
-      | None -> i (-1)
-      | Some e ->
-        i (phase_code e.e_phase);
-        i e.e_core;
-        i e.e_line;
-        i (sig_msi e.e_to);
-        i e.e_set;
-        i e.e_way;
-        b e.e_locks_way;
-        b e.e_needs_wb;
-        i e.e_wb_line;
-        b e.e_retry;
-        i (Hashtbl.hash e.e_pending);
-        h := Statesig.mix_list !h Hashtbl.hash e.e_to_send;
-        h := Statesig.mix_list !h Fun.id e.e_blocked;
-        i (match e.e_dq_kind with Dq_read -> 0 | Dq_wb -> 1))
+let fold_state s t =
+  let open Statesig in
+  field s "live"; int s t.live;
+  field s "entries";
+  array s
+    (fun s e ->
+      opt s
+        (fun s e ->
+          field s "ph"; int s (phase_code e.e_phase);
+          field s "c"; int s e.e_core;
+          field s "l"; int s e.e_line;
+          field s "to"; int s (Msi.rank e.e_to);
+          field s "s"; int s e.e_set;
+          field s "w"; int s e.e_way;
+          field s "lk"; bool s e.e_locks_way;
+          field s "wb"; bool s e.e_needs_wb; int s e.e_wb_line;
+          field s "r"; bool s e.e_retry;
+          field s "p"; hash s e.e_pending;
+          field s "ts"; list s hash e.e_to_send;
+          field s "blk"; list s int e.e_blocked;
+          field s "dq"; int s (match e.e_dq_kind with Dq_read -> 0 | Dq_wb -> 1))
+        e)
     t.entries;
-  i (Fifo.length t.pipe);
-  Fifo.iter
-    (fun (exit_at, msg) ->
-      i exit_at;
-      i (Hashtbl.hash msg))
+  field s "pipe";
+  fifo s
+    (fun s (exit_at, msg) ->
+      int s exit_at;
+      hash s msg)
     t.pipe;
-  Array.iter
-    (fun q ->
-      i (Fifo.length q);
-      Fifo.iter i q)
-    t.retryq;
-  Array.iter
-    (fun q ->
-      i (Fifo.length q);
-      Fifo.iter i q)
-    t.uqs;
-  i (Fifo.length t.dq);
-  Fifo.iter i t.dq;
-  i (match t.dq_pending_read with None -> -1 | Some idx -> idx);
-  Array.iter
-    (fun l ->
-      i (Fifo.length l.Link.rq);
-      Fifo.iter (fun m -> i (Hashtbl.hash m)) l.Link.rq;
-      i (Fifo.length l.Link.rs);
-      Fifo.iter (fun m -> i (Hashtbl.hash m)) l.Link.rs;
-      i (Fifo.length l.Link.p2c);
-      Fifo.iter (fun m -> i (Hashtbl.hash m)) l.Link.p2c)
+  field s "retryq"; array s (fun s q -> fifo s int q) t.retryq;
+  field s "uqs"; array s (fun s q -> fifo s int q) t.uqs;
+  field s "dq"; fifo s int t.dq;
+  field s "dqp"; opt s int t.dq_pending_read;
+  field s "links";
+  array s
+    (fun s l ->
+      field s "rq"; fifo s hash l.Link.rq;
+      field s "rs"; fifo s hash l.Link.rs;
+      field s "p2c"; fifo s hash l.Link.p2c)
     t.links;
-  i (Controller.structural_signature t.dram);
-  !h
-
-let dump_state t buf =
-  Printf.bprintf buf "llc.live=%d entries[" t.live;
-  Array.iter
-    (function
-      | None -> Buffer.add_char buf '-'
-      | Some e ->
-        Printf.bprintf buf "(ph=%d c=%d l=%d to=%d s=%d w=%d lk=%b wb=%b@%d r=%b p=%d ts=%d["
-          (phase_code e.e_phase) e.e_core e.e_line (sig_msi e.e_to) e.e_set
-          e.e_way e.e_locks_way e.e_needs_wb e.e_wb_line e.e_retry
-          (Hashtbl.hash e.e_pending)
-          (List.length e.e_to_send);
-        List.iter (fun x -> Printf.bprintf buf "%d;" (Hashtbl.hash x)) e.e_to_send;
-        Printf.bprintf buf "] blk[";
-        List.iter (fun x -> Printf.bprintf buf "%d;" x) e.e_blocked;
-        Printf.bprintf buf "] dq=%d)"
-          (match e.e_dq_kind with Dq_read -> 0 | Dq_wb -> 1))
-    t.entries;
-  Printf.bprintf buf "] pipe=%d[" (Fifo.length t.pipe);
-  Fifo.iter
-    (fun (exit_at, msg) -> Printf.bprintf buf "(%d,%d)" exit_at (Hashtbl.hash msg))
-    t.pipe;
-  Buffer.add_string buf "] retryq[";
-  Array.iter
-    (fun q ->
-      Fifo.iter (fun x -> Printf.bprintf buf "%d;" x) q;
-      Buffer.add_char buf '|')
-    t.retryq;
-  Buffer.add_string buf "] uqs[";
-  Array.iter
-    (fun q ->
-      Fifo.iter (fun x -> Printf.bprintf buf "%d;" x) q;
-      Buffer.add_char buf '|')
-    t.uqs;
-  Buffer.add_string buf "] dq[";
-  Fifo.iter (fun x -> Printf.bprintf buf "%d;" x) t.dq;
-  Printf.bprintf buf "] dqp=%s links["
-    (match t.dq_pending_read with None -> "-" | Some idx -> string_of_int idx);
-  Array.iter
-    (fun l ->
-      Buffer.add_string buf "rq=";
-      Fifo.iter (fun m -> Printf.bprintf buf "%d;" (Hashtbl.hash m)) l.Link.rq;
-      Buffer.add_string buf " rs=";
-      Fifo.iter (fun m -> Printf.bprintf buf "%d;" (Hashtbl.hash m)) l.Link.rs;
-      Buffer.add_string buf " p2c=";
-      Fifo.iter (fun m -> Printf.bprintf buf "%d;" (Hashtbl.hash m)) l.Link.p2c;
-      Buffer.add_char buf '|')
-    t.links;
-  Buffer.add_string buf "] dram=";
-  Controller.dump_state t.dram buf
+  field s "dram"; Controller.fold_state s t.dram

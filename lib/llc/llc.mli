@@ -87,16 +87,13 @@ val mshr_occupancy : t -> Histogram.t
 (** Currently allocated MSHR entries (instantaneous occupancy). *)
 val live_mshrs : t -> int
 
-(** [structural_signature t] folds the LLC's structure state — live MSHR
+(** [fold_state s t] feeds the LLC's structure state — live MSHR
     entries and their phases, the pipeline/retry/UQ/DQ queues, the child
-    links, and the DRAM controller — into a {!Statesig} hash.  The cache
-    array, directory metadata, and replacement state are excluded: they
-    only change in cycles that also move an MSHR or a queue. *)
-val structural_signature : t -> int
-
-(** [dump_state t buf] appends a labelled rendering of the same state
-    [structural_signature] folds (the quiet-cycle oracle). *)
-val dump_state : t -> Buffer.t -> unit
+    links, and the DRAM controller — to [s] (quiet-cycle signature and
+    dump oracle, see {!Mi6_util.Statesig}).  The cache array, directory
+    metadata, and replacement state are excluded: they only change in
+    cycles that also move an MSHR or a queue. *)
+val fold_state : Statesig.sink -> t -> unit
 
 (** [free_mshrs_for t ~core ~line] — allocation headroom visible to a
     core's next request (tests of the MSHR channels). *)

@@ -1268,8 +1268,6 @@ let restore t ck =
 
 let rob_state_code = function Rs_waiting -> 0 | Rs_issued -> 1 | Rs_done -> 2
 
-let sig_opt = function None -> -1 | Some v -> v
-
 let purge_code = function
   | Pp_none -> 0
   | Pp_quiesce -> 1
@@ -1277,118 +1275,62 @@ let purge_code = function
 
 let purge_kind_code = function Pk_enter -> 0 | Pk_exit -> 1 | Pk_external -> 2
 
-let structural_signature t =
-  let h = ref Statesig.empty in
-  let i v = h := Statesig.mix !h v in
-  let b v = h := Statesig.mix_bool !h v in
-  i (Fifo.length t.fetch_q);
-  Fifo.iter
-    (fun r ->
-      i (Hashtbl.hash r.pre_uop);
-      b r.pre_mispredict)
+let fold_state s t =
+  let open Statesig in
+  field s "fq";
+  fifo s
+    (fun s r ->
+      int s (Hashtbl.hash r.pre_uop);
+      bool s r.pre_mispredict)
     t.fetch_q;
-  b t.stream_done;
-  i t.fetch_stall_until;
-  b t.fetch_blocked_on_resolve;
-  b t.fetch_blocked_on_trap;
-  b t.fetch_wait_icache;
-  b t.fetch_wait_itlb;
-  i t.last_fetch_line;
-  i t.last_fetch_page;
-  i t.rob_head;
-  i t.rob_tail;
-  i t.rob_count;
-  Array.iter
-    (function
-      | None -> i (-1)
-      | Some e ->
-        i (Hashtbl.hash e.u);
-        i (sig_opt e.dst_phys);
-        i (sig_opt e.old_phys);
-        h := Statesig.mix_list !h Fun.id e.src_phys;
-        i (sig_opt e.lq_slot);
-        i (sig_opt e.sq_slot);
-        i (rob_state_code e.state);
-        b e.mispredict)
+  field s "sd"; bool s t.stream_done;
+  field s "fsu"; int s t.fetch_stall_until;
+  field s "fbr"; bool s t.fetch_blocked_on_resolve;
+  field s "fbt"; bool s t.fetch_blocked_on_trap;
+  field s "fwi"; bool s t.fetch_wait_icache;
+  field s "fwt"; bool s t.fetch_wait_itlb;
+  field s "lfl"; int s t.last_fetch_line;
+  field s "lfp"; int s t.last_fetch_page;
+  field s "rob"; int s t.rob_head; int s t.rob_tail; int s t.rob_count;
+  array s
+    (fun s e ->
+      opt s
+        (fun s e ->
+          field s "u"; int s (Hashtbl.hash e.u);
+          field s "d"; opt s int e.dst_phys;
+          field s "o"; opt s int e.old_phys;
+          field s "src"; list s int e.src_phys;
+          field s "lq"; opt s int e.lq_slot;
+          field s "sq"; opt s int e.sq_slot;
+          field s "st"; int s (rob_state_code e.state);
+          field s "m"; bool s e.mispredict)
+        e)
     t.rob;
-  Array.iter (fun q -> h := Statesig.mix_list !h Fun.id !q) t.iq_alu;
-  h := Statesig.mix_list !h Fun.id !(t.iq_mem);
-  h := Statesig.mix_list !h Fun.id !(t.iq_fp);
-  Array.iter b t.lq;
-  i t.sq_head;
-  i t.sq_tail;
-  i t.sq_count;
-  Array.iter
-    (function
-      | None -> i (-1)
-      | Some s ->
-        i s.sq_line;
-        b s.sq_addr_ready)
+  field s "iq"; array s (fun s q -> list s int !q) t.iq_alu;
+  list s int !(t.iq_mem);
+  list s int !(t.iq_fp);
+  field s "lq"; array s bool t.lq;
+  field s "sq"; int s t.sq_head; int s t.sq_tail; int s t.sq_count;
+  array s
+    (fun s e ->
+      opt s
+        (fun s e ->
+          int s e.sq_line;
+          bool s e.sq_addr_ready)
+        e)
     t.sq;
-  Array.iteri (fun k busy -> if busy then i t.sb_lines.(k) else i (-1)) t.sb;
-  i (Queue.length t.sb_pending);
-  Queue.iter i t.sb_pending;
-  i t.dtlb_outstanding;
-  h := Statesig.mix_list !h fst !(t.events);
-  i (purge_code t.purge);
-  i (purge_kind_code t.purge_kind);
-  b (t.saved_predictors <> None);
-  b t.purge_requested;
-  i t.committed;
-  i t.purge_started;
-  i (Ptw.structural_signature t.ptw);
-  !h
-
-let dump_state t buf =
-  Printf.bprintf buf "core%d fq=%d[" t.id (Fifo.length t.fetch_q);
-  Fifo.iter
-    (fun r -> Printf.bprintf buf "(%d,%b)" (Hashtbl.hash r.pre_uop) r.pre_mispredict)
-    t.fetch_q;
-  Printf.bprintf buf "] sd=%b fsu=%d fbr=%b fbt=%b fwi=%b fwt=%b lfl=%d lfp=%d "
-    t.stream_done t.fetch_stall_until t.fetch_blocked_on_resolve
-    t.fetch_blocked_on_trap t.fetch_wait_icache t.fetch_wait_itlb
-    t.last_fetch_line t.last_fetch_page;
-  Printf.bprintf buf "rob=%d/%d/%d[" t.rob_head t.rob_tail t.rob_count;
-  Array.iter
-    (function
-      | None -> Buffer.add_char buf '-'
-      | Some e ->
-        Printf.bprintf buf "(%d d=%d o=%d s=[" (Hashtbl.hash e.u)
-          (sig_opt e.dst_phys) (sig_opt e.old_phys);
-        List.iter (fun p -> Printf.bprintf buf "%d;" p) e.src_phys;
-        Printf.bprintf buf "] l=%d q=%d st=%d m=%b)" (sig_opt e.lq_slot)
-          (sig_opt e.sq_slot) (rob_state_code e.state) e.mispredict)
-    t.rob;
-  Buffer.add_string buf "] iq[";
-  Array.iter
-    (fun q ->
-      List.iter (fun x -> Printf.bprintf buf "%d;" x) !q;
-      Buffer.add_char buf '|')
-    t.iq_alu;
-  List.iter (fun x -> Printf.bprintf buf "%d;" x) !(t.iq_mem);
-  Buffer.add_char buf '|';
-  List.iter (fun x -> Printf.bprintf buf "%d;" x) !(t.iq_fp);
-  Buffer.add_string buf "] lq[";
-  Array.iter (fun busy -> Buffer.add_char buf (if busy then '1' else '0')) t.lq;
-  Printf.bprintf buf "] sq=%d/%d/%d[" t.sq_head t.sq_tail t.sq_count;
-  Array.iter
-    (function
-      | None -> Buffer.add_char buf '-'
-      | Some s -> Printf.bprintf buf "(%d,%b)" s.sq_line s.sq_addr_ready)
-    t.sq;
-  Buffer.add_string buf "] sb[";
+  (* A free slot's line is stale: fold it only while the slot is busy. *)
+  field s "sb";
   Array.iteri
-    (fun k busy ->
-      if busy then Printf.bprintf buf "%d;" t.sb_lines.(k)
-      else Buffer.add_string buf "-;")
+    (fun k busy -> opt s int (if busy then Some t.sb_lines.(k) else None))
     t.sb;
-  Buffer.add_string buf "] sbp[";
-  Queue.iter (fun s -> Printf.bprintf buf "%d;" s) t.sb_pending;
-  Printf.bprintf buf "] dtlb=%d ev[" t.dtlb_outstanding;
-  List.iter (fun (at, _) -> Printf.bprintf buf "%d;" at) !(t.events);
-  Printf.bprintf buf "] pg=%d pk=%d sp=%b pr=%b com=%d ps=%d "
-    (purge_code t.purge)
-    (purge_kind_code t.purge_kind)
-    (t.saved_predictors <> None)
-    t.purge_requested t.committed t.purge_started;
-  Ptw.dump_state t.ptw buf
+  field s "sbp"; queue s int t.sb_pending;
+  field s "dtlb"; int s t.dtlb_outstanding;
+  field s "ev"; list s (fun s (at, _) -> int s at) !(t.events);
+  field s "pg"; int s (purge_code t.purge);
+  field s "pk"; int s (purge_kind_code t.purge_kind);
+  field s "sp"; bool s (t.saved_predictors <> None);
+  field s "pr"; bool s t.purge_requested;
+  field s "com"; int s t.committed;
+  field s "ps"; int s t.purge_started;
+  field s "ptw"; Ptw.fold_state s t.ptw

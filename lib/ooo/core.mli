@@ -103,22 +103,19 @@ val in_flight_uops : t -> (Uop.t * string) list
     was attributed to (feeds per-stall-cause quiet-cycle accounting). *)
 val last_cycle_cause : t -> int
 
-(** [structural_signature t] folds the core's structure state — fetch
-    queue, ROB, issue/load/store queues, store buffer, pending events,
-    page walker, purge machinery — into a {!Statesig} hash.  Predictors,
-    TLB contents, and renaming bookkeeping are excluded: they only
-    change in cycles that also move an included structure. *)
-val structural_signature : t -> int
-
-(** [dump_state t buf] appends a labelled rendering of the same state
-    [structural_signature] folds (the quiet-cycle oracle). *)
-val dump_state : t -> Buffer.t -> unit
+(** [fold_state s t] feeds the core's structure state — fetch queue,
+    ROB, issue/load/store queues, store buffer, pending-event times, page
+    walker, purge machinery — to [s] (the quiet-cycle signature and its
+    dump oracle, see {!Mi6_util.Statesig}).  Predictors, TLB contents,
+    and renaming bookkeeping are excluded: they only change in cycles
+    that also move an included structure. *)
+val fold_state : Statesig.sink -> t -> unit
 
 (** Value snapshot of {e all} behavior-relevant core state: front end,
     ROB, rename tables, issue/load/store queues, store buffer, deferred
     events, purge machinery, predictors (BTB, tournament, RAS), TLBs,
     translation cache, and page walker — everything
-    [structural_signature] excludes included.  Event and walker
+    [fold_state] excludes included.  Event and walker
     continuations capture heap records that [restore] rewinds in place,
     so a checkpoint is only valid on the [t] that produced it.  The µop
     stream, the L1s, and the stats table are owned by the machine and

@@ -175,28 +175,16 @@ let restore t ck =
 (* Structure state (quiet-cycle detector): the walk slots.  The
    translation cache and latency histogram are excluded — they only
    change when a walk also completes. *)
-let structural_signature t =
-  let h = ref Statesig.empty in
-  Array.iter
-    (function
-      | None -> h := Statesig.mix !h (-1)
-      | Some w ->
-        h := Statesig.mix !h w.vpage;
-        h := Statesig.mix !h w.started_at;
-        h := Statesig.mix_list !h Fun.id w.levels_left;
-        h := Statesig.mix_bool !h w.waiting_mem;
-        h := Statesig.mix !h w.reads)
-    t.slots;
-  !h
-
-let dump_state t buf =
-  Buffer.add_string buf "ptw[";
-  Array.iter
-    (function
-      | None -> Buffer.add_char buf '-'
-      | Some w ->
-        Printf.bprintf buf "(v=%d s=%d ll=[" w.vpage w.started_at;
-        List.iter (fun l -> Printf.bprintf buf "%d;" l) w.levels_left;
-        Printf.bprintf buf "] wm=%b r=%d)" w.waiting_mem w.reads)
-    t.slots;
-  Buffer.add_char buf ']'
+let fold_state s t =
+  let open Statesig in
+  array s
+    (fun s w ->
+      opt s
+        (fun s w ->
+          field s "v"; int s w.vpage;
+          field s "s"; int s w.started_at;
+          field s "ll"; list s int w.levels_left;
+          field s "wm"; bool s w.waiting_mem;
+          field s "r"; int s w.reads)
+        w)
+    t.slots

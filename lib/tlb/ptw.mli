@@ -55,15 +55,11 @@ val pte_line : t -> level:int -> vpage:int -> int
     with core load/store ids. *)
 val id_tag : int
 
-(** [structural_signature t] folds the walker's in-flight walk slots into
-    a {!Statesig} hash (quiet-cycle detector); the translation cache and
-    latency histogram are excluded since they only change when a walk
-    also progresses. *)
-val structural_signature : t -> int
-
-(** [dump_state t buf] appends a labelled rendering of the same state
-    [structural_signature] folds (the quiet-cycle oracle). *)
-val dump_state : t -> Buffer.t -> unit
+(** [fold_state s t] feeds the walker's in-flight walk slots to [s] (the
+    quiet-cycle signature and its dump oracle, see {!Mi6_util.Statesig});
+    the translation cache and latency histogram are excluded since they
+    only change when a walk also progresses. *)
+val fold_state : Statesig.sink -> t -> unit
 
 (** Snapshot of the in-flight walk slots and the latency histogram.  Walk
     continuations capture the owning core, so [restore] rewinds the walk

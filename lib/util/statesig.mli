@@ -1,23 +1,51 @@
-(** Structural-state hashing for the quiet-cycle detector.
+(** Structural-state folds for the quiet-cycle detector.
 
-    Components fold the state that can change from one cycle to the next
-    (queues, MSHRs, state-machine phases, scheduled-event times) into an
-    int signature; the machine combines component signatures once per
-    cycle.  Equal signatures across consecutive cycles classify the
-    cycle as {e quiet}: nothing but the clock advanced, so an
-    event-driven core could have skipped it.
+    Each stateful component declares the state that can change from one
+    cycle to the next (queues, MSHRs, state-machine phases, scheduled-event
+    times) {e once}, as a [fold_state : sink -> t -> unit] that feeds every
+    value to a {!sink}.  Two views derive from that one fold:
 
-    The fold is order-dependent and deterministic (no randomized hashing),
-    so signatures are comparable across runs and across domains. *)
+    - {!signature} hashes the values into an int.  The machine folds every
+      component once per cycle; equal signatures across consecutive cycles
+      classify the cycle as {e quiet}: nothing but the clock advanced, so
+      an event-driven core could have skipped it.
+    - {!dump} renders the same values as labelled text
+      ([label=v,v seq=[x;y] opt=-]), the byte-compare oracle for the
+      detector and the field diff of a bisect report.
 
-(** Seed for a fresh fold. *)
-val empty : int
+    The hash is order-dependent and deterministic (no randomized hashing),
+    so signatures are comparable across runs and across domains.
+    Sequences and options fold their length first, so the two views agree:
+    a fold whose shape depends only on its values (labels constant per
+    position) gives equal signatures exactly when it gives equal dumps,
+    up to hash collisions. *)
 
-(** [mix h v] folds [v] into accumulator [h]. *)
-val mix : int -> int -> int
+(** A fold target: hashes or renders, depending on how it was made. *)
+type sink
 
-val mix_bool : int -> bool -> int
+(** [signature fold] runs [fold] on a hashing sink and returns the
+    hash. *)
+val signature : (sink -> unit) -> int
 
-(** [mix_list h f xs] folds the length of [xs] and then [f x] for every
-    element, in list order. *)
-val mix_list : int -> ('a -> int) -> 'a list -> int
+(** [dump fold] runs [fold] on a rendering sink and returns the text. *)
+val dump : (sink -> unit) -> string
+
+val int : sink -> int -> unit
+val bool : sink -> bool -> unit
+
+(** [field s label] labels the values that follow in the dump; hashing
+    ignores it. *)
+val field : sink -> string -> unit
+
+(** Length-prefixed sequences: the length, then [f] on every element in
+    order.  The dump brackets the sequence and separates elements with
+    [;]. *)
+val list : sink -> (sink -> 'a -> unit) -> 'a list -> unit
+
+val array : sink -> (sink -> 'a -> unit) -> 'a array -> unit
+val fifo : sink -> (sink -> 'a -> unit) -> 'a Fifo.t -> unit
+val queue : sink -> (sink -> 'a -> unit) -> 'a Queue.t -> unit
+
+(** [opt s f o] — a presence bit, then [f] on the value; the dump shows
+    [None] as [-]. *)
+val opt : sink -> (sink -> 'a -> unit) -> 'a option -> unit

@@ -631,9 +631,48 @@ let test_cpi_stack_sums_to_cycles () =
 
 (* The quiet-cycle detector compares one Statesig hash per cycle; the
    oracle byte-compares the full labelled structure dump between
-   consecutive cycles.  Over random (seed, bench, variant) runs the two
-   must agree on every cycle — a disagreement means the signature folds
-   a field the dump misses (false quiet) or vice versa (missed quiet). *)
+   consecutive cycles.  Both views derive from the same per-component
+   folds, so over random (seed, bench, variant) runs they must agree on
+   every cycle — a disagreement means the fold's two renderings drifted
+   (a value the hash sees but the dump misses, or vice versa).  Each case
+   runs on one core and on two, so every section label and the LLC's
+   four-link fold are covered. *)
+let quiet_detector_agrees ~cores ~seed ~bench ~variant =
+  let occupancy = Mi6_obs.Occupancy.create () in
+  let streams =
+    Array.init cores (fun core ->
+        Tmachine.spec_stream ~seed ~core ~bench ~limit:300 ())
+  in
+  let m =
+    Tmachine.create ~occupancy
+      (Config.timing ~cores variant)
+      ~streams
+      ~stats:(Mi6_util.Stats.create ())
+  in
+  let ok = ref true in
+  let prev_dump = ref None in
+  let prev_quiet = ref (Mi6_obs.Occupancy.quiet_cycles occupancy) in
+  let budget = ref 30_000 in
+  while !ok && (not (Tmachine.finished m)) && !budget > 0 do
+    decr budget;
+    Tmachine.tick m;
+    let dump = Tmachine.dump_state m in
+    let quiet = Mi6_obs.Occupancy.quiet_cycles occupancy in
+    let detector_quiet = quiet > !prev_quiet in
+    let oracle_quiet =
+      match !prev_dump with Some d -> String.equal d dump | None -> false
+    in
+    if detector_quiet <> oracle_quiet then ok := false;
+    prev_dump := Some dump;
+    prev_quiet := quiet
+  done;
+  (* The run must also have exercised both verdicts, or the property
+     would pass vacuously on a degenerate machine. *)
+  !ok
+  && Mi6_obs.Occupancy.quiet_cycles occupancy > 0
+  && Mi6_obs.Occupancy.quiet_cycles occupancy
+     < Mi6_obs.Occupancy.cycles occupancy
+
 let prop_quiet_detector_matches_oracle =
   QCheck.Test.make
     ~name:"quiet-cycle detector agrees with dump_state oracle" ~count:12
@@ -646,39 +685,8 @@ let prop_quiet_detector_matches_oracle =
           (pick land 3)
       in
       let variant = if pick land 4 = 0 then Config.Base else Config.Fpma in
-      let occupancy = Mi6_obs.Occupancy.create () in
-      let stream =
-        Tmachine.spec_stream ~seed ~core:0 ~bench ~limit:300 ()
-      in
-      let m =
-        Tmachine.create ~occupancy
-          (Config.timing ~cores:1 variant)
-          ~streams:[| stream |]
-          ~stats:(Mi6_util.Stats.create ())
-      in
-      let ok = ref true in
-      let prev_dump = ref None in
-      let prev_quiet = ref (Mi6_obs.Occupancy.quiet_cycles occupancy) in
-      let budget = ref 30_000 in
-      while !ok && (not (Tmachine.finished m)) && !budget > 0 do
-        decr budget;
-        Tmachine.tick m;
-        let dump = Tmachine.dump_state m in
-        let quiet = Mi6_obs.Occupancy.quiet_cycles occupancy in
-        let detector_quiet = quiet > !prev_quiet in
-        let oracle_quiet =
-          match !prev_dump with Some d -> String.equal d dump | None -> false
-        in
-        if detector_quiet <> oracle_quiet then ok := false;
-        prev_dump := Some dump;
-        prev_quiet := quiet
-      done;
-      (* The run must also have exercised both verdicts, or the property
-         would pass vacuously on a degenerate machine. *)
-      !ok
-      && Mi6_obs.Occupancy.quiet_cycles occupancy > 0
-      && Mi6_obs.Occupancy.quiet_cycles occupancy
-         < Mi6_obs.Occupancy.cycles occupancy)
+      quiet_detector_agrees ~cores:1 ~seed ~bench ~variant
+      && quiet_detector_agrees ~cores:2 ~seed ~bench ~variant)
 
 (* --- Checkpoint determinism (flight-recorder foundation) --- *)
 

@@ -391,6 +391,41 @@ let prop_msi_invariant =
       done;
       !ok)
 
+(* Both DRAM backends' state folds: across a burst of requests, a cycle
+   changes the signature exactly when it changes the dump. *)
+let test_dram_fold_views_agree () =
+  let open Mi6_dram in
+  let stats = Stats.create () in
+  List.iter
+    (fun (name, c) ->
+      let view () =
+        ( Statesig.signature (fun s -> Controller.fold_state s c),
+          Statesig.dump (fun s -> Controller.fold_state s c) )
+      in
+      let pending = ref (List.init 12 (fun k -> k * 37)) in
+      let changed = ref 0 and quiet = ref 0 in
+      let prev = ref (view ()) and now = ref 0 in
+      while (!pending <> [] || Controller.outstanding c > 0) && !now < 10_000 do
+        (match !pending with
+        | line :: rest when Controller.can_accept c ->
+          Controller.accept c ~now:!now { Controller.read = true; line; tag = line };
+          pending := rest
+        | _ -> ());
+        Controller.tick c ~now:!now ~respond:(fun ~tag:_ ~line:_ -> ());
+        incr now;
+        let sg, d = view () and psg, pd = !prev in
+        check_bool (Printf.sprintf "%s cycle %d" name !now) (String.equal pd d)
+          (sg = psg);
+        if sg = psg then incr quiet else incr changed;
+        prev := (sg, d)
+      done;
+      check_int (name ^ ": drained") 0 (Controller.outstanding c);
+      check_bool (name ^ ": both verdicts seen") true (!changed > 0 && !quiet > 0))
+    [
+      ("constant", Controller.constant ~latency:120 ~max_outstanding:4 ~stats ());
+      ("fr-fcfs", Controller.reordering Fr_fcfs.default_config ~stats);
+    ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -431,6 +466,8 @@ let () =
           Alcotest.test_case "rr arbiter idles" `Quick test_rr_arbiter_idle_slots;
           Alcotest.test_case "invalidate region" `Quick test_invalidate_region;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "dram fold views agree" `Quick
+            test_dram_fold_views_agree;
         ] );
       ( "properties",
         qsuite

@@ -414,6 +414,93 @@ let prop_sha256_incremental_split =
       Sha256.feed ctx b;
       Sha256.finalize ctx = Sha256.digest (a ^ b))
 
+(* ------------------------------------------------------------------ *)
+(* Statesig                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let both fold = (Statesig.signature fold, Statesig.dump fold)
+
+let test_statesig_dump_format () =
+  let fold s =
+    Statesig.field s "a";
+    Statesig.int s 1;
+    Statesig.bool s true;
+    Statesig.int s (-12);
+    Statesig.field s "l";
+    Statesig.list s (fun s l -> Statesig.list s Statesig.int l) [ [ 1; 2 ]; [ 3 ] ];
+    Statesig.field s "o";
+    Statesig.opt s Statesig.int None
+  in
+  check_string "label=value rendering" "a=1,true,-12 l=[[1;2];[3]] o=-"
+    (Statesig.dump fold);
+  List.iter
+    (fun v ->
+      check_string "int rendering" (string_of_int v)
+        (Statesig.dump (fun s -> Statesig.int s v)))
+    [ 0; 9; 10; -10; max_int; min_int ]
+
+(* Moving an element across a list boundary keeps the flattened values
+   but must change both views. *)
+let test_statesig_list_boundary () =
+  let split xs ys s =
+    Statesig.list s Statesig.int xs;
+    Statesig.list s Statesig.int ys
+  in
+  let sig_a, dump_a = both (split [ 1; 2 ] [ 3 ])
+  and sig_b, dump_b = both (split [ 1 ] [ 2; 3 ]) in
+  check_bool "signatures differ" true (sig_a <> sig_b);
+  check_bool "dumps differ" true (dump_a <> dump_b)
+
+(* One fold over every helper, evaluated on every sample of a small
+   domain whose list shapes all flatten to the same values.  Across all
+   pairs, signatures must be equal exactly when dumps are. *)
+let fold_sample s (xss, o, b, arr) =
+  Statesig.field s "xss";
+  Statesig.list s (fun s xs -> Statesig.list s Statesig.int xs) xss;
+  Statesig.field s "o";
+  Statesig.opt s Statesig.int o;
+  Statesig.field s "b";
+  Statesig.bool s b;
+  Statesig.field s "arr";
+  Statesig.array s (fun s x -> Statesig.opt s Statesig.int x) arr;
+  let flat = List.concat xss in
+  Statesig.field s "q";
+  Statesig.queue s Statesig.int (Queue.of_seq (List.to_seq flat));
+  Statesig.field s "f";
+  let f = Fifo.create ~capacity:4 in
+  List.iter (Fifo.enq f) flat;
+  Statesig.fifo s Statesig.int f
+
+let test_statesig_views_agree () =
+  let opts = [ None; Some 0; Some 1 ] in
+  let samples =
+    List.concat_map
+      (fun xss ->
+        List.concat_map
+          (fun o ->
+            List.concat_map
+              (fun b ->
+                List.concat_map
+                  (fun x -> List.map (fun y -> (xss, o, b, [| x; y |])) opts)
+                  opts)
+              [ false; true ])
+          opts)
+      [ [ [ 0; 1 ] ]; [ [ 0 ]; [ 1 ] ]; [ [ 0; 1 ]; [] ]; [ []; [ 0; 1 ] ];
+        [ [ 0 ]; []; [ 1 ] ] ]
+  in
+  let views = List.map (fun x -> both (fun s -> fold_sample s x)) samples in
+  List.iter
+    (fun (sig_x, dump_x) ->
+      List.iter
+        (fun (sig_y, dump_y) ->
+          if (sig_x = sig_y) <> String.equal dump_x dump_y then
+            Alcotest.failf "views disagree on %S vs %S" dump_x dump_y)
+        views)
+    views;
+  (* Every sample is distinct, so all dumps must be too. *)
+  check_int "distinct dumps" (List.length samples)
+    (List.length (List.sort_uniq compare (List.map snd views)))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -467,4 +554,12 @@ let () =
           Alcotest.test_case "hmac verify" `Quick test_hmac_verify;
         ]
         @ qsuite [ prop_sha256_incremental_split ] );
+      ( "statesig",
+        [
+          Alcotest.test_case "dump format" `Quick test_statesig_dump_format;
+          Alcotest.test_case "list boundary changes both views" `Quick
+            test_statesig_list_boundary;
+          Alcotest.test_case "signature equal iff dump equal" `Quick
+            test_statesig_views_agree;
+        ] );
     ]
