@@ -1,6 +1,6 @@
 # Convenience wrapper around dune; `make ci` is what the CI workflow runs.
 
-.PHONY: all build test bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke lint lint-channels perf-compare ci clean
+.PHONY: all build test perfbench-smoke bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke lint lint-channels perf-compare ci clean
 
 all: build
 
@@ -9,6 +9,22 @@ build:
 
 test:
 	dune runtest
+
+# Reference-equality gate on the host-speed benchmark: a short run of
+# spec-cpu and of ni-sched must reproduce every recorded simulated value
+# ("correct": true, "failed": 0).  The per-cycle components must bump
+# counter handles bound at create, never a counter looked up by name.
+perfbench-smoke:
+	for w in spec-cpu ni-sched; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 \
+			| tail -n 1 \
+			| python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+			|| { echo "perfbench-smoke: $$w does not match its reference"; exit 1; }; \
+	done
+	@if grep -rnE 'Stats\.(incr|add)\b' lib/ooo lib/cache lib/llc lib/dram lib/tlb; then \
+		echo "perfbench-smoke: bump a Stats.counter bound at create instead"; \
+		exit 1; \
+	fi
 
 # Short benchmark run that must produce parseable machine-readable output
 # (BENCH_run.json snapshot + BENCH_history.jsonl regression database).
@@ -166,7 +182,7 @@ lint-channels:
 	done
 	rm -f examples/lint/*-channels.json
 
-ci: build test bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke lint lint-channels
+ci: build test perfbench-smoke bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke lint lint-channels
 
 clean:
 	dune clean

@@ -29,7 +29,14 @@ type t = {
   array : line_meta Sram.t;
   repl : Replacement.t;
   link : Link.t;
-  stats : Stats.t;
+  c_accesses : Stats.counter;
+  c_hits : Stats.counter;
+  c_misses : Stats.counter;
+  c_writebacks : Stats.counter;
+  c_evictions : Stats.counter;
+  c_prefetches : Stats.counter;
+  c_mshr_merges : Stats.counter;
+  c_mshr_full_stalls : Stats.counter;
   trace : Trace.t;
   miss_lat : Histogram.t; (* demand-miss request-to-fill latency *)
   name : string;
@@ -41,12 +48,20 @@ type t = {
 }
 
 let create ?(trace = Trace.null) cfg ~link ~stats ~name =
+  let counter suffix = Stats.counter stats (name ^ "." ^ suffix) in
   {
     cfg;
     array = Sram.create ~sets:cfg.sets ~ways:cfg.ways;
     repl = Replacement.pseudo_random ~ways:cfg.ways ~sets:cfg.sets ~seed:cfg.seed;
     link;
-    stats;
+    c_accesses = counter "accesses";
+    c_hits = counter "hits";
+    c_misses = counter "misses";
+    c_writebacks = counter "writebacks";
+    c_evictions = counter "evictions";
+    c_prefetches = counter "prefetches";
+    c_mshr_merges = counter "mshr_merges";
+    c_mshr_full_stalls = counter "mshr_full_stalls";
     trace;
     miss_lat = Histogram.create ();
     name;
@@ -62,7 +77,7 @@ let can_accept t = Fifo.can_enq t.input && not t.flushing
 
 let request t ~line ~store ~id =
   if not (can_accept t) then failwith "L1.request: not ready";
-  Stats.incr t.stats (t.name ^ ".accesses");
+  Stats.bump t.c_accesses;
   Fifo.enq t.input { p_line = line; p_store = store; p_id = id }
 
 (* L1s always use the flat (low-bits) index; sets is a power of two. *)
@@ -111,8 +126,8 @@ let try_hit t ~line =
     let set = set_of t line in
     match Sram.find t.array ~set ~tag:line with
     | Some (way, _) ->
-      Stats.incr t.stats (t.name ^ ".accesses");
-      Stats.incr t.stats (t.name ^ ".hits");
+      Stats.bump t.c_accesses;
+      Stats.bump t.c_hits;
       Replacement.touch t.repl ~set ~way;
       true
     | None -> false
@@ -146,7 +161,7 @@ let process_parent t ~now =
       match Sram.find t.array ~set ~tag:line with
       | Some (way, m) when Msi.lt to_s m.state ->
         let dirty = m.state = Msi.M in
-        if dirty then Stats.incr t.stats (t.name ^ ".writebacks");
+        if dirty then Stats.bump t.c_writebacks;
         if to_s = Msi.I then Sram.invalidate t.array ~set ~way
         else Sram.update t.array ~set ~way { state = to_s };
         Fifo.enq t.link.Link.rs { Msg.line; to_s; dirty }
@@ -178,7 +193,7 @@ let try_prefetch t ~now line =
       match find_way 0 with
       | None -> ()
       | Some way ->
-        Stats.incr t.stats (t.name ^ ".prefetches");
+        Stats.bump t.c_prefetches;
         t.mshrs.(idx) <-
           Some
             { m_line = line; m_to = Msi.S; m_way = way; m_set = set;
@@ -197,7 +212,7 @@ let process_input t ~now =
     | Some (way, m) when Msi.leq needed m.state ->
       (* Hit. *)
       ignore (Fifo.deq t.input);
-      Stats.incr t.stats (t.name ^ ".hits");
+      Stats.bump t.c_hits;
       Replacement.touch t.repl ~set ~way;
       Queue.add (id, now + t.cfg.hit_latency) t.completions
     | present -> (
@@ -205,7 +220,7 @@ let process_input t ~now =
       match find_mshr t line with
       | Some (_, m) when Msi.leq needed m.m_to ->
         ignore (Fifo.deq t.input);
-        Stats.incr t.stats (t.name ^ ".mshr_merges");
+        Stats.bump t.c_mshr_merges;
         m.m_waiters <- id :: m.m_waiters
       | Some _ ->
         (* In-flight grant too weak (load MSHR, store arrives): wait for
@@ -213,7 +228,7 @@ let process_input t ~now =
         ()
       | None -> (
         match free_mshr t with
-        | None -> Stats.incr t.stats (t.name ^ ".mshr_full_stalls")
+        | None -> Stats.bump t.c_mshr_full_stalls
         | Some idx ->
           if Fifo.can_enq t.link.Link.rq then begin
             let from_s, way_opt =
@@ -260,8 +275,8 @@ let process_input t ~now =
                       | Some (vtag, vm) ->
                         let dirty = vm.state = Msi.M in
                         if dirty then
-                          Stats.incr t.stats (t.name ^ ".writebacks");
-                        Stats.incr t.stats (t.name ^ ".evictions");
+                          Stats.bump t.c_writebacks;
+                        Stats.bump t.c_evictions;
                         Fifo.enq t.link.Link.rs
                           { Msg.line = vtag; to_s = Msi.I; dirty };
                         Sram.invalidate t.array ~set ~way:w
@@ -272,7 +287,7 @@ let process_input t ~now =
             in
             if ok then begin
               ignore (Fifo.deq t.input);
-              Stats.incr t.stats (t.name ^ ".misses");
+              Stats.bump t.c_misses;
               if Trace.active t.trace Trace.L1 then
                 Trace.emit t.trace ~now
                   (Trace.Cache_miss { cache = t.name; line });
@@ -291,16 +306,15 @@ let process_input t ~now =
             end
           end)))
 
-let deliver_completions t ~now ~complete =
-  let rec go () =
-    match Queue.peek_opt t.completions with
-    | Some (id, ready) when ready <= now ->
+let rec deliver_completions t ~now ~complete =
+  if not (Queue.is_empty t.completions) then begin
+    let id, ready = Queue.peek t.completions in
+    if ready <= now then begin
       ignore (Queue.pop t.completions);
       complete id;
-      go ()
-    | _ -> ()
-  in
-  go ()
+      deliver_completions t ~now ~complete
+    end
+  end
 
 let tick t ~now ~complete =
   process_parent t ~now;
@@ -334,7 +348,7 @@ let flush_step t =
        invalidations (Section 7.1), so each line costs one rs message. *)
     if Fifo.can_enq t.link.Link.rs then begin
       let dirty = m.state = Msi.M in
-      if dirty then Stats.incr t.stats (t.name ^ ".writebacks");
+      if dirty then Stats.bump t.c_writebacks;
       Fifo.enq t.link.Link.rs { Msg.line = tag; to_s = Msi.I; dirty };
       Sram.invalidate t.array ~set ~way;
       t.flush_cursor <- cursor + 1

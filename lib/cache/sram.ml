@@ -43,6 +43,10 @@ let read t ~set ~way =
     | None -> assert false
   else None
 
+let is_valid t ~set ~way =
+  check t set way;
+  t.valid.(set).(way)
+
 let fill t ~set ~way ~tag m =
   check t set way;
   t.tags.(set).(way) <- tag;

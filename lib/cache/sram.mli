@@ -15,6 +15,10 @@ val find : 'a t -> set:int -> tag:int -> (int * 'a) option
 (** [read t ~set ~way] is [Some (tag, meta)] if the way is valid. *)
 val read : 'a t -> set:int -> way:int -> (int * 'a) option
 
+(** [is_valid t ~set ~way] is [read t ~set ~way <> None], without
+    allocating. *)
+val is_valid : 'a t -> set:int -> way:int -> bool
+
 (** [fill t ~set ~way ~tag meta] installs a line (overwrites). *)
 val fill : 'a t -> set:int -> way:int -> tag:int -> 'a -> unit
 

@@ -51,6 +51,9 @@ type t = {
   telemetry : Telemetry.t;
   rstreams : rstream array;
   sections : (string * (Statesig.sink -> unit)) list;
+  (* Per-core L1 completion callbacks, built once at [create]. *)
+  l1d_complete : (int -> unit) array;
+  l1i_complete : (int -> unit) array;
   mutable clock : int;
 }
 
@@ -119,8 +122,21 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
         [ ("llc", fun s -> Llc.fold_state s llc) ];
       ]
   in
-  { cores; l1ds; l1is; llc; stats; trace; selfprof; occupancy; telemetry;
-    rstreams; sections; clock = 0 }
+  let l1i_complete =
+    Array.map (fun core id -> Core.icache_complete core ~id) cores
+  in
+  let t =
+    { cores; l1ds; l1is; llc; stats; trace; selfprof; occupancy; telemetry;
+      rstreams; sections; l1d_complete = Array.make n ignore; l1i_complete;
+      clock = 0 }
+  in
+  (* A D-side completion is stamped with the machine clock at the time it
+     is delivered. *)
+  Array.iteri
+    (fun i core ->
+      t.l1d_complete.(i) <- (fun id -> Core.mem_complete core ~now:t.clock ~id))
+    cores;
+  t
 
 (* Registry over every component's counters and distributions; values are
    read at export time, so build it once and export after the run. *)
@@ -237,15 +253,13 @@ let checkpoint_cycle ck = ck.ck_clock
 let tick t =
   let now = t.clock in
   let sp = t.selfprof in
-  Array.iteri
-    (fun i core ->
-      Core.tick core ~now;
-      let p = Selfprof.switch sp Selfprof.ph_l1 in
-      L1.tick t.l1ds.(i) ~now ~complete:(fun id ->
-          Core.mem_complete core ~now ~id);
-      L1.tick t.l1is.(i) ~now ~complete:(fun id -> Core.icache_complete core ~id);
-      Selfprof.restore sp p)
-    t.cores;
+  for i = 0 to Array.length t.cores - 1 do
+    Core.tick t.cores.(i) ~now;
+    let p = Selfprof.switch sp Selfprof.ph_l1 in
+    L1.tick t.l1ds.(i) ~now ~complete:t.l1d_complete.(i);
+    L1.tick t.l1is.(i) ~now ~complete:t.l1i_complete.(i);
+    Selfprof.restore sp p
+  done;
   let p = Selfprof.switch sp Selfprof.ph_llc in
   Llc.tick t.llc ~now;
   Selfprof.restore sp p;

@@ -27,7 +27,10 @@ type bank = {
 
 type t = {
   cfg : config;
-  stats : Stats.t;
+  c_reads : Stats.counter;
+  c_writes : Stats.counter;
+  c_row_hits : Stats.counter;
+  c_row_misses : Stats.counter;
   trace : Trace.t;
   banks : bank array;
   mutable queue : waiting list; (* arrival order, oldest first *)
@@ -39,7 +42,10 @@ type t = {
 let create ?(trace = Trace.null) cfg ~stats =
   {
     cfg;
-    stats;
+    c_reads = Stats.counter stats "dram.reads";
+    c_writes = Stats.counter stats "dram.writes";
+    c_row_hits = Stats.counter stats "dram.row_hits";
+    c_row_misses = Stats.counter stats "dram.row_misses";
     trace;
     banks =
       Array.init cfg.banks (fun _ ->
@@ -66,7 +72,7 @@ let accept t ~now req =
   if not (can_accept t) then failwith "Fr_fcfs.accept: backpressured";
   if t.accepted_at = now then failwith "Fr_fcfs.accept: two requests in one cycle";
   t.accepted_at <- now;
-  Stats.incr t.stats (if req.read then "dram.reads" else "dram.writes");
+  Stats.bump (if req.read then t.c_reads else t.c_writes);
   t.queue <- t.queue @ [ { w_req = req; w_seq = t.seq } ];
   t.seq <- t.seq + 1
 
@@ -97,8 +103,7 @@ let schedule t ~now =
           let lat =
             if row_hit then t.cfg.hit_latency else t.cfg.miss_latency
           in
-          if row_hit then Stats.incr t.stats "dram.row_hits"
-          else Stats.incr t.stats "dram.row_misses";
+          Stats.bump (if row_hit then t.c_row_hits else t.c_row_misses);
           if Trace.active t.trace Trace.Dram then
             Trace.emit t.trace ~now
               (Trace.Dram_cmd

@@ -8,6 +8,7 @@ type t = {
   selfprof : Selfprof.t;
   mutable clock : int;
   completions : (int * int) list ref array; (* reversed *)
+  complete : (int -> unit) array; (* per-core L1 callbacks, built once *)
 }
 
 let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
@@ -30,13 +31,15 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null)
         L1.create ~trace l1 ~link:links.(i) ~stats
           ~name:(Printf.sprintf "l1.%d" i))
   in
-  {
-    l1s;
-    llc;
-    selfprof;
-    clock = 0;
-    completions = Array.init n (fun _ -> ref []);
-  }
+  let completions = Array.init n (fun _ -> ref []) in
+  let t =
+    { l1s; llc; selfprof; clock = 0; completions; complete = Array.make n ignore }
+  in
+  Array.iteri
+    (fun core acc ->
+      t.complete.(core) <- (fun id -> acc := (id, t.clock) :: !acc))
+    completions;
+  t
 
 let cores t = Array.length t.l1s
 let now t = t.clock
@@ -50,11 +53,9 @@ let request t ~core ~line ~store ~id =
 let tick t =
   let now = t.clock in
   let p = Selfprof.switch t.selfprof Selfprof.ph_l1 in
-  Array.iteri
-    (fun core cache ->
-      L1.tick cache ~now ~complete:(fun id ->
-          t.completions.(core) := (id, now) :: !(t.completions.(core))))
-    t.l1s;
+  for core = 0 to Array.length t.l1s - 1 do
+    L1.tick t.l1s.(core) ~now ~complete:t.complete.(core)
+  done;
   ignore (Selfprof.switch t.selfprof Selfprof.ph_llc);
   Llc.tick t.llc ~now;
   Selfprof.restore t.selfprof p;

@@ -88,12 +88,50 @@ type pipe_msg =
   | M_cresp of int * Msg.child_resp
   | M_dram of int
 
+(* Counter handles, bound once at [create]. *)
+type counters = {
+  k_requests : Stats.counter;
+  k_hits : Stats.counter;
+  k_misses : Stats.counter;
+  k_replacements : Stats.counter;
+  k_writebacks : Stats.counter;
+  k_all_ways_locked : Stats.counter;
+  k_mshr_alloc_stalls : Stats.counter;
+  k_arb_idle_slots : Stats.counter;
+  k_downgrades_sent : Stats.counter;
+  k_responses_sent : Stats.counter;
+  k_uq_hol_blocks : Stats.counter;
+  k_dram_backpressure_stalls : Stats.counter;
+  k_dq_retries : Stats.counter;
+  k_dq_double_dequeues : Stats.counter;
+}
+
+let counters stats =
+  let c = Stats.counter stats in
+  {
+    k_requests = c "llc.requests";
+    k_hits = c "llc.hits";
+    k_misses = c "llc.misses";
+    k_replacements = c "llc.replacements";
+    k_writebacks = c "llc.writebacks";
+    k_all_ways_locked = c "llc.all_ways_locked";
+    k_mshr_alloc_stalls = c "llc.mshr_alloc_stalls";
+    k_arb_idle_slots = c "llc.arb_idle_slots";
+    k_downgrades_sent = c "llc.downgrades_sent";
+    k_responses_sent = c "llc.responses_sent";
+    k_uq_hol_blocks = c "llc.uq_hol_blocks";
+    k_dram_backpressure_stalls = c "llc.dram_backpressure_stalls";
+    k_dq_retries = c "llc.dq_retries";
+    k_dq_double_dequeues = c "llc.dq_double_dequeues";
+  }
+
 type t = {
   cfg : config;
   sec : security;
   links : Link.t array;
   dram : Controller.t;
-  stats : Stats.t;
+  ctr : counters;
+  respond : tag:int -> line:int -> unit; (* DRAM completion, built once *)
   array : line_meta Sram.t;
   repl : Replacement.t;
   entries : entry option array;
@@ -111,6 +149,18 @@ type t = {
   occ_hist : Histogram.t; (* MSHR occupancy, sampled once per tick *)
 }
 
+let entry t idx =
+  match t.entries.(idx) with
+  | Some e -> e
+  | None -> failwith "Llc: dangling MSHR index"
+
+(* The DRAM controller's completion callback. *)
+let dram_response t ~tag ~line =
+  let e = entry t tag in
+  assert (e.e_line = line);
+  (* No backpressure on the DRAM response: buffered in the MSHR. *)
+  e.e_phase <- P_dram_arrived
+
 let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) cfg ~security
     ~links ~dram ~stats =
   if Array.length links <> cfg.cores then
@@ -120,40 +170,51 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) cfg ~security
   if security.partitioned_mshrs && cfg.mshrs mod cfg.cores <> 0 then
     invalid_arg "Llc.create: mshrs must divide evenly across cores";
   let sets = Index.sets cfg.index in
-  {
-    cfg;
-    sec = security;
-    links;
-    dram;
-    stats;
-    array = Sram.create ~sets ~ways:cfg.ways;
-    repl =
-      Replacement.pseudo_random ~ways:cfg.ways ~sets ~seed:cfg.repl_seed;
-    entries = Array.make cfg.mshrs None;
-    pipe = Fifo.create ~capacity:(cfg.pipeline_latency + 2);
-    retryq = Array.init cfg.cores (fun _ -> Fifo.create ~capacity:cfg.mshrs);
-    uqs =
-      (if security.split_uq then
-         Array.init cfg.cores (fun _ ->
-             Fifo.create ~capacity:(cfg.mshrs / cfg.cores))
-       else [| Fifo.create ~capacity:cfg.mshrs |]);
-    dq = Fifo.create ~capacity:cfg.mshrs;
-    dq_pending_read = None;
-    port_used = Array.make cfg.cores false;
-    trace;
-    selfprof;
-    tnow = 0;
-    live = 0;
-    occ_hist = Histogram.create ();
-  }
+  let ctr = counters stats in
+  let array = Sram.create ~sets ~ways:cfg.ways in
+  let repl =
+    Replacement.pseudo_random ~ways:cfg.ways ~sets ~seed:cfg.repl_seed
+  in
+  let entries = Array.make cfg.mshrs None in
+  let pipe = Fifo.create ~capacity:(cfg.pipeline_latency + 2) in
+  let retryq = Array.init cfg.cores (fun _ -> Fifo.create ~capacity:cfg.mshrs) in
+  let uqs =
+    if security.split_uq then
+      Array.init cfg.cores (fun _ ->
+          Fifo.create ~capacity:(cfg.mshrs / cfg.cores))
+    else [| Fifo.create ~capacity:cfg.mshrs |]
+  in
+  let dq = Fifo.create ~capacity:cfg.mshrs in
+  let port_used = Array.make cfg.cores false in
+  let occ_hist = Histogram.create () in
+  let rec t =
+    {
+      cfg;
+      sec = security;
+      links;
+      dram;
+      ctr;
+      respond = (fun ~tag ~line -> dram_response t ~tag ~line);
+      array;
+      repl;
+      entries;
+      pipe;
+      retryq;
+      uqs;
+      dq;
+      dq_pending_read = None;
+      port_used;
+      trace;
+      selfprof;
+      tnow = 0;
+      live = 0;
+      occ_hist;
+    }
+  in
+  t
 
 let mshr_occupancy t = t.occ_hist
 let live_mshrs t = t.live
-
-let entry t idx =
-  match t.entries.(idx) with
-  | Some e -> e
-  | None -> failwith "Llc: dangling MSHR index"
 
 let set_of t line = Index.index t.cfg.index ~line
 
@@ -163,18 +224,20 @@ let set_of t line = Index.index t.cfg.index ~line
 
 let per_core_mshrs t = t.cfg.mshrs / t.cfg.cores
 
-let entry_range t core =
-  if t.sec.partitioned_mshrs then
-    (core * per_core_mshrs t, (core + 1) * per_core_mshrs t)
-  else (0, t.cfg.mshrs)
+(* The MSHR index range [lo, hi) that [core] may allocate from. *)
+let range_lo t core = if t.sec.partitioned_mshrs then core * per_core_mshrs t else 0
+
+let range_hi t core =
+  if t.sec.partitioned_mshrs then (core + 1) * per_core_mshrs t else t.cfg.mshrs
 
 let bank_of_set t set = set land (t.cfg.mshr_banks - 1)
 
+let is_free t i = match t.entries.(i) with None -> true | Some _ -> false
+
 let free_in_bank t core bank =
-  let lo, hi = entry_range t core in
   let n = ref 0 in
-  for i = lo to hi - 1 do
-    if t.entries.(i) = None && i mod t.cfg.mshr_banks = bank then incr n
+  for i = range_lo t core to range_hi t core - 1 do
+    if is_free t i && i mod t.cfg.mshr_banks = bank then incr n
   done;
   !n
 
@@ -190,15 +253,21 @@ let free_mshrs_for t ~core ~line =
   end
   else free_in_bank t core bank
 
+(* Lowest free index in [i, hi) of [bank], or -1. *)
+let rec free_slot t ~bank ~hi i =
+  if i >= hi then -1
+  else if is_free t i && i mod t.cfg.mshr_banks = bank then i
+  else free_slot t ~bank ~hi (i + 1)
+
+(* The allocated MSHR index, or -1 when the core's bank is full. *)
 let alloc_mshr t ~core ~line ~to_s =
-  if free_mshrs_for t ~core ~line = 0 then None
+  if free_mshrs_for t ~core ~line = 0 then -1
   else begin
     let bank = bank_of_set t (set_of t line) in
-    let lo, hi = entry_range t core in
-    let rec go i =
-      if i >= hi then None
-      else if t.entries.(i) = None && i mod t.cfg.mshr_banks = bank then begin
-        let e =
+    let i = free_slot t ~bank ~hi:(range_hi t core) (range_lo t core) in
+    if i >= 0 then begin
+      t.entries.(i) <-
+        Some
           {
             e_core = core;
             e_line = line;
@@ -214,29 +283,26 @@ let alloc_mshr t ~core ~line ~to_s =
             e_to_send = [];
             e_blocked = [];
             e_dq_kind = Dq_read;
-          }
-        in
-        t.entries.(i) <- Some e;
-        t.live <- t.live + 1;
-        if Trace.active t.trace Trace.Llc then
-          Trace.emit t.trace ~now:t.tnow
-            (Trace.Mshr_alloc { core; idx = i; line });
-        Some i
-      end
-      else go (i + 1)
-    in
-    go lo
+          };
+      t.live <- t.live + 1;
+      if Trace.active t.trace Trace.Llc then
+        Trace.emit t.trace ~now:t.tnow
+          (Trace.Mshr_alloc { core; idx = i; line })
+    end;
+    i
   end
 
+(* The highest-indexed MSHR locking [set]/[way], or -1. *)
 let way_locker t set way =
-  let found = ref None in
-  Array.iteri
-    (fun i eo ->
-      match eo with
-      | Some e when e.e_locks_way && e.e_set = set && e.e_way = way ->
-        found := Some i
-      | _ -> ())
-    t.entries;
+  let found = ref (-1) in
+  let i = ref (t.cfg.mshrs - 1) in
+  while !found < 0 && !i >= 0 do
+    (match t.entries.(!i) with
+    | Some e when e.e_locks_way && e.e_set = set && e.e_way = way ->
+      found := !i
+    | _ -> ());
+    decr i
+  done;
   !found
 
 (* ------------------------------------------------------------------ *)
@@ -316,13 +382,95 @@ let complete_replacement t idx ~victim_dirty =
   Sram.invalidate t.array ~set:e.e_set ~way:e.e_way;
   e.e_needs_wb <- victim_dirty;
   e.e_dq_kind <- (if victim_dirty then Dq_wb else Dq_read);
-  if victim_dirty then Stats.incr t.stats "llc.writebacks";
+  if victim_dirty then Stats.bump t.ctr.k_writebacks;
   e.e_phase <- P_in_dq;
   Fifo.enq t.dq idx
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline-exit processing                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* The first active MSHR other than [idx] on [line], or -1.  Parked
+   (P_blocked) entries are passive and must not themselves act as
+   blockers, or two same-line entries could park on each other. *)
+let rec same_line_blocker t ~idx ~line i =
+  if i >= t.cfg.mshrs then -1
+  else
+    match t.entries.(i) with
+    | Some { e_phase = P_blocked; _ } -> same_line_blocker t ~idx ~line (i + 1)
+    | Some o when i <> idx && o.e_line = line -> i
+    | _ -> same_line_blocker t ~idx ~line (i + 1)
+
+let unlocked t set way = way_locker t set way < 0
+
+(* An invalid, unlocked way of [set] from [w] up, or -1. *)
+let rec invalid_unlocked_way t set w =
+  if w >= t.cfg.ways then -1
+  else if (not (Sram.is_valid t.array ~set ~way:w)) && unlocked t set w then w
+  else invalid_unlocked_way t set (w + 1)
+
+(* The first unlocked way scanning round from [w], or -1. *)
+let rec unlocked_victim t set ~tries w =
+  if tries >= t.cfg.ways then -1
+  else if unlocked t set w then w
+  else unlocked_victim t set ~tries:(tries + 1) ((w + 1) mod t.cfg.ways)
+
+let await_downgrades e targets ~victim =
+  e.e_locks_way <- true;
+  List.iter (fun (c, _, _) -> Bitvec.set e.e_pending c) targets;
+  e.e_to_send <- targets;
+  e.e_phase <- P_wait_downgrade { victim }
+
+let process_hit t idx e ~set ~way meta =
+  let blocker = way_locker t set way in
+  if blocker >= 0 && blocker <> idx then park_on t ~blocker ~parked:idx
+  else begin
+    Stats.bump t.ctr.k_hits;
+    e.e_way <- way;
+    Replacement.touch t.repl ~set ~way;
+    match
+      downgrade_targets t meta ~core:e.e_core ~to_s:e.e_to ~line:e.e_line
+    with
+    | [] -> enqueue_uq t idx
+    | targets -> await_downgrades e targets ~victim:false
+  end
+
+let process_miss t idx e ~set =
+  Stats.bump t.ctr.k_misses;
+  (* Find an invalid, unlocked way; otherwise pick a victim among
+     unlocked ways. *)
+  let way = invalid_unlocked_way t set 0 in
+  if way >= 0 then begin
+    e.e_way <- way;
+    e.e_locks_way <- true;
+    e.e_dq_kind <- Dq_read;
+    e.e_phase <- P_in_dq;
+    Fifo.enq t.dq idx
+  end
+  else begin
+    let pick = Replacement.victim t.repl ~set ~invalid_way:None in
+    let way = unlocked_victim t set ~tries:0 pick in
+    if way < 0 then begin
+      (* Every way locked by an in-flight transaction: retry. *)
+      Stats.bump t.ctr.k_all_ways_locked;
+      enqueue_retry t idx
+    end
+    else
+      match Sram.read t.array ~set ~way with
+      | None -> assert false
+      | Some (victim_tag, vmeta) -> (
+        Stats.bump t.ctr.k_replacements;
+        e.e_way <- way;
+        e.e_locks_way <- true;
+        e.e_wb_line <- victim_tag;
+        match
+          downgrade_targets t vmeta ~core:(-1) ~to_s:Msi.M ~line:victim_tag
+        with
+        | [] -> complete_replacement t idx ~victim_dirty:vmeta.dirty
+        | targets ->
+          e.e_needs_wb <- vmeta.dirty;
+          await_downgrades e targets ~victim:true)
+  end
 
 let process_request t idx =
   let e = entry t idx in
@@ -337,125 +485,45 @@ let process_request t idx =
   else begin
     let set = set_of t e.e_line in
     e.e_set <- set;
-    (* Same-line conflict with another active transaction: park.  Parked
-       (P_blocked) entries are passive and must not themselves act as
-       blockers, or two same-line entries could park on each other. *)
-    let same_line = ref None in
-    Array.iteri
-      (fun i eo ->
-        match eo with
-        | Some o
-          when i <> idx && o.e_line = e.e_line && o.e_phase <> P_blocked
-               && !same_line = None ->
-          same_line := Some i
-        | _ -> ())
-      t.entries;
-    match !same_line with
-    | Some blocker -> park_on t ~blocker ~parked:idx
-    | None -> (
+    let blocker = same_line_blocker t ~idx ~line:e.e_line 0 in
+    if blocker >= 0 then park_on t ~blocker ~parked:idx
+    else
       match Sram.find t.array ~set ~tag:e.e_line with
-      | Some (way, meta) -> (
-        match way_locker t set way with
-        | Some blocker when blocker <> idx -> park_on t ~blocker ~parked:idx
-        | _ -> (
-          Stats.incr t.stats "llc.hits";
-          e.e_way <- way;
-          Replacement.touch t.repl ~set ~way;
-          match
-            downgrade_targets t meta ~core:e.e_core ~to_s:e.e_to
-              ~line:e.e_line
-          with
-          | [] -> enqueue_uq t idx
-          | targets ->
-            e.e_locks_way <- true;
-            List.iter (fun (c, _, _) -> Bitvec.set e.e_pending c) targets;
-            e.e_to_send <- targets;
-            e.e_phase <- P_wait_downgrade { victim = false }))
-      | None -> (
-        Stats.incr t.stats "llc.misses";
-        (* Find an invalid, unlocked way; otherwise pick a victim among
-           unlocked ways. *)
-        let unlocked w = way_locker t set w = None in
-        let rec find_invalid w =
-          if w >= t.cfg.ways then None
-          else if Sram.read t.array ~set ~way:w = None && unlocked w then
-            Some w
-          else find_invalid (w + 1)
-        in
-        match find_invalid 0 with
-        | Some way ->
-          e.e_way <- way;
-          e.e_locks_way <- true;
-          e.e_dq_kind <- Dq_read;
-          e.e_phase <- P_in_dq;
-          Fifo.enq t.dq idx
-        | None -> (
-          let pick = Replacement.victim t.repl ~set ~invalid_way:None in
-          let rec find_victim tries w =
-            if tries >= t.cfg.ways then None
-            else if unlocked w then Some w
-            else find_victim (tries + 1) ((w + 1) mod t.cfg.ways)
-          in
-          match find_victim 0 pick with
-          | None ->
-            (* Every way locked by an in-flight transaction: retry. *)
-            Stats.incr t.stats "llc.all_ways_locked";
-            enqueue_retry t idx
-          | Some way -> (
-            match Sram.read t.array ~set ~way with
-            | None -> assert false
-            | Some (victim_tag, vmeta) -> (
-              Stats.incr t.stats "llc.replacements";
-              e.e_way <- way;
-              e.e_locks_way <- true;
-              e.e_wb_line <- victim_tag;
-              match
-                downgrade_targets t vmeta ~core:(-1) ~to_s:Msi.M
-                  ~line:victim_tag
-              with
-              | [] -> complete_replacement t idx ~victim_dirty:vmeta.dirty
-              | targets ->
-                e.e_needs_wb <- vmeta.dirty;
-                List.iter
-                  (fun (c, _, _) -> Bitvec.set e.e_pending c)
-                  targets;
-                e.e_to_send <- targets;
-                e.e_phase <- P_wait_downgrade { victim = true })))))
+      | Some (way, meta) -> process_hit t idx e ~set ~way meta
+      | None -> process_miss t idx e ~set
   end
+
+(* Hand a downgrade response to the MSHR waiting on it, if any: the first
+   in index order whose pending set still holds [core] for that line. *)
+let rec claim_cresp t core (resp : Msg.child_resp) idx =
+  if idx >= t.cfg.mshrs then false
+  else
+    match t.entries.(idx) with
+    | Some ({ e_phase = P_wait_downgrade { victim }; _ } as e)
+      when (if victim then e.e_wb_line else e.e_line) = resp.Msg.line
+           && Bitvec.get e.e_pending core ->
+      Bitvec.clear e.e_pending core;
+      apply_cresp_to_directory t core resp;
+      if Bitvec.is_empty e.e_pending then begin
+        if victim then begin
+          let vdirty =
+            e.e_needs_wb
+            ||
+            match Sram.find t.array ~set:e.e_set ~tag:e.e_wb_line with
+            | Some (_, m) -> m.dirty
+            | None -> false
+          in
+          complete_replacement t idx ~victim_dirty:vdirty
+        end
+        else enqueue_uq t idx
+      end;
+      true
+    | _ -> claim_cresp t core resp (idx + 1)
 
 let process_cresp t core (resp : Msg.child_resp) =
   (* A waiting MSHR consumes the response first (so it can account the
      dirty bit into the replacement), then the directory is updated. *)
-  let claimed = ref false in
-  Array.iteri
-    (fun idx eo ->
-      match eo with
-      | Some e when not !claimed -> (
-        match e.e_phase with
-        | P_wait_downgrade { victim } ->
-          let wanted_line = if victim then e.e_wb_line else e.e_line in
-          if wanted_line = resp.Msg.line && Bitvec.get e.e_pending core then begin
-            claimed := true;
-            Bitvec.clear e.e_pending core;
-            apply_cresp_to_directory t core resp;
-            if Bitvec.is_empty e.e_pending then begin
-              if victim then begin
-                let vdirty =
-                  e.e_needs_wb
-                  ||
-                  match Sram.find t.array ~set:e.e_set ~tag:e.e_wb_line with
-                  | Some (_, m) -> m.dirty
-                  | None -> false
-                in
-                complete_replacement t idx ~victim_dirty:vdirty
-              end
-              else enqueue_uq t idx
-            end
-          end
-        | _ -> ())
-      | _ -> ())
-    t.entries;
-  if not !claimed then apply_cresp_to_directory t core resp
+  if not (claim_cresp t core resp 0) then apply_cresp_to_directory t core resp
 
 let process_dram t idx =
   let e = entry t idx in
@@ -472,46 +540,21 @@ let process_exit t = function
 (* Pipeline entry arbitration                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The lowest-indexed MSHR of [core] holding a DRAM response, or -1. *)
 let dram_arrived_for t core =
-  let found = ref None in
-  Array.iteri
-    (fun i eo ->
-      match eo with
-      | Some e when e.e_phase = P_dram_arrived && e.e_core = core && !found = None
-        ->
-        found := Some i
-      | _ -> ())
-    t.entries;
-  !found
-
-(* Highest-priority available message for [core]; dequeues it. *)
-let take_core_candidate t core =
-  match dram_arrived_for t core with
-  | Some idx ->
-    (entry t idx).e_phase <- P_pipe;
-    Some (M_dram idx)
-  | None ->
-    if Fifo.can_deq t.retryq.(core) then begin
-      let idx = Fifo.deq t.retryq.(core) in
-      (entry t idx).e_phase <- P_pipe;
-      Some (M_retry idx)
-    end
-    else if Fifo.can_deq t.links.(core).Link.rs then
-      Some (M_cresp (core, Fifo.deq t.links.(core).Link.rs))
-    else
-      match Fifo.peek_opt t.links.(core).Link.rq with
-      | None -> None
-      | Some req -> (
-        match
-          alloc_mshr t ~core ~line:req.Msg.line ~to_s:req.Msg.to_s
-        with
-        | Some idx ->
-          ignore (Fifo.deq t.links.(core).Link.rq);
-          Stats.incr t.stats "llc.requests";
-          Some (M_creq idx)
-        | None ->
-          Stats.incr t.stats "llc.mshr_alloc_stalls";
-          None)
+  if t.live = 0 then -1
+  else begin
+    let found = ref (-1) in
+    let i = ref 0 in
+    while !found < 0 && !i < t.cfg.mshrs do
+      (match t.entries.(!i) with
+      | Some { e_phase = P_dram_arrived; e_core; _ } when e_core = core ->
+        found := !i
+      | _ -> ());
+      incr i
+    done;
+    !found
+  end
 
 let msg_kind = function
   | M_creq _ -> "req"
@@ -523,74 +566,90 @@ let msg_core t = function
   | M_creq idx | M_retry idx | M_dram idx -> (entry t idx).e_core
   | M_cresp (c, _) -> c
 
+let admit t ~now msg =
+  if Trace.active t.trace Trace.Llc then
+    Trace.emit t.trace ~now
+      (Trace.Arb_grant { core = msg_core t msg; kind = msg_kind msg });
+  Fifo.enq t.pipe (now + t.cfg.pipeline_latency, msg)
+
+(* Each [admit_*] admits [core]'s message of one type into the pipeline
+   if it has one, and says whether it did. *)
+
+let admit_dram t ~now core =
+  let idx = dram_arrived_for t core in
+  idx >= 0
+  && begin
+    (entry t idx).e_phase <- P_pipe;
+    admit t ~now (M_dram idx);
+    true
+  end
+
+let admit_retry t ~now core =
+  Fifo.can_deq t.retryq.(core)
+  && begin
+    let idx = Fifo.deq t.retryq.(core) in
+    (entry t idx).e_phase <- P_pipe;
+    admit t ~now (M_retry idx);
+    true
+  end
+
+let admit_cresp t ~now core =
+  Fifo.can_deq t.links.(core).Link.rs
+  && begin
+    admit t ~now (M_cresp (core, Fifo.deq t.links.(core).Link.rs));
+    true
+  end
+
+(* An upgrade request also needs an MSHR. *)
+let admit_creq t ~now core =
+  match Fifo.peek_opt t.links.(core).Link.rq with
+  | None -> false
+  | Some req ->
+    let idx = alloc_mshr t ~core ~line:req.Msg.line ~to_s:req.Msg.to_s in
+    if idx >= 0 then begin
+      ignore (Fifo.deq t.links.(core).Link.rq);
+      Stats.bump t.ctr.k_requests;
+      admit t ~now (M_creq idx);
+      true
+    end
+    else begin
+      Stats.bump t.ctr.k_mshr_alloc_stalls;
+      false
+    end
+
+(* Baseline two-level mux: message-type priority (DRAM responses,
+   downgrade responses, retries, upgrade requests), then core index. *)
+let rec baseline_mux t ~now cls core =
+  if core >= t.cfg.cores then begin
+    if cls < 3 then baseline_mux t ~now (cls + 1) 0
+  end
+  else if
+    not
+      (match cls with
+      | 0 -> admit_dram t ~now core
+      | 1 -> admit_cresp t ~now core
+      | 2 -> admit_retry t ~now core
+      | _ -> admit_creq t ~now core)
+  then baseline_mux t ~now cls (core + 1)
+
 let enter_pipeline t ~now =
-  let admit msg =
-    if Trace.active t.trace Trace.Llc then
-      Trace.emit t.trace ~now
-        (Trace.Arb_grant { core = msg_core t msg; kind = msg_kind msg });
-    Fifo.enq t.pipe (now + t.cfg.pipeline_latency, msg)
-  in
   if t.sec.round_robin_arbiter then begin
-    (* Cycle T admits only core T mod N; an idle slot is wasted
-       (Section 5.4.3). *)
+    (* Cycle T admits only core T mod N, taking its highest-priority
+       message; an idle slot is wasted (Section 5.4.3). *)
     let core = now mod t.cfg.cores in
-    match take_core_candidate t core with
-    | Some msg -> admit msg
-    | None ->
-      Stats.incr t.stats "llc.arb_idle_slots";
+    if
+      not
+        (admit_dram t ~now core
+        || admit_retry t ~now core
+        || admit_cresp t ~now core
+        || admit_creq t ~now core)
+    then begin
+      Stats.bump t.ctr.k_arb_idle_slots;
       if Trace.active t.trace Trace.Llc then
         Trace.emit t.trace ~now (Trace.Arb_idle { core })
+    end
   end
-  else begin
-    (* Baseline two-level mux: message-type priority, then core index. *)
-    let picked = ref false in
-    let try_class f =
-      if not !picked then begin
-        let rec go c =
-          if c < t.cfg.cores then
-            match f c with
-            | Some msg ->
-              picked := true;
-              admit msg
-            | None -> go (c + 1)
-        in
-        go 0
-      end
-    in
-    (* DRAM responses. *)
-    try_class (fun c ->
-        match dram_arrived_for t c with
-        | Some idx ->
-          (entry t idx).e_phase <- P_pipe;
-          Some (M_dram idx)
-        | None -> None);
-    (* Downgrade responses. *)
-    try_class (fun c ->
-        if Fifo.can_deq t.links.(c).Link.rs then
-          Some (M_cresp (c, Fifo.deq t.links.(c).Link.rs))
-        else None);
-    (* Retries. *)
-    try_class (fun c ->
-        if Fifo.can_deq t.retryq.(c) then begin
-          let idx = Fifo.deq t.retryq.(c) in
-          (entry t idx).e_phase <- P_pipe;
-          Some (M_retry idx)
-        end
-        else None);
-    (* Upgrade requests (need an MSHR). *)
-    try_class (fun c ->
-        match Fifo.peek_opt t.links.(c).Link.rq with
-        | None -> None
-        | Some req -> (
-          match alloc_mshr t ~core:c ~line:req.Msg.line ~to_s:req.Msg.to_s with
-          | Some idx ->
-            ignore (Fifo.deq t.links.(c).Link.rq);
-            Stats.incr t.stats "llc.requests";
-            Some (M_creq idx)
-          | None ->
-            Stats.incr t.stats "llc.mshr_alloc_stalls";
-            None))
-  end
+  else baseline_mux t ~now 0 0
 
 let advance_pipeline t ~now =
   match Fifo.peek_opt t.pipe with
@@ -617,7 +676,7 @@ let downgrade_scan t ~lo ~hi =
           && Fifo.can_enq t.links.(target).Link.p2c
         then begin
           Fifo.enq t.links.(target).Link.p2c (Msg.Downgrade_req { line; to_s });
-          Stats.incr t.stats "llc.downgrades_sent";
+          Stats.bump t.ctr.k_downgrades_sent;
           t.port_used.(target) <- true;
           e.e_to_send <- rest;
           sent := true
@@ -630,8 +689,7 @@ let downgrade_scan t ~lo ~hi =
 let downgrade_logic t =
   if t.sec.per_partition_downgrade then
     for core = 0 to t.cfg.cores - 1 do
-      let lo, hi = entry_range t core in
-      downgrade_scan t ~lo ~hi
+      downgrade_scan t ~lo:(range_lo t core) ~hi:(range_hi t core)
     done
   else downgrade_scan t ~lo:0 ~hi:t.cfg.mshrs
 
@@ -658,7 +716,7 @@ let try_send_response t idx =
     grant_directory t idx;
     Fifo.enq t.links.(c).Link.p2c
       (Msg.Upgrade_resp { line = e.e_line; to_s = e.e_to });
-    Stats.incr t.stats "llc.responses_sent";
+    Stats.bump t.ctr.k_responses_sent;
     if Trace.active t.trace Trace.Llc then
       Trace.emit t.trace ~now:t.tnow
         (Trace.Uq_send { core = c; line = e.e_line });
@@ -671,17 +729,17 @@ let try_send_response t idx =
 
 let uq_dequeue t =
   if t.sec.split_uq then
-    Array.iter
-      (fun uq ->
-        match Fifo.peek_opt uq with
-        | Some idx -> if try_send_response t idx then ignore (Fifo.deq uq)
-        | None -> ())
-      t.uqs
+    for i = 0 to Array.length t.uqs - 1 do
+      let uq = t.uqs.(i) in
+      match Fifo.peek_opt uq with
+      | Some idx -> if try_send_response t idx then ignore (Fifo.deq uq)
+      | None -> ()
+    done
   else
     match Fifo.peek_opt t.uqs.(0) with
     | Some idx ->
       if try_send_response t idx then ignore (Fifo.deq t.uqs.(0))
-      else Stats.incr t.stats "llc.uq_hol_blocks"
+      else Stats.bump t.ctr.k_uq_hol_blocks
     | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -700,7 +758,7 @@ let dq_dequeue t ~now =
       e.e_phase <- P_wait_dram;
       t.dq_pending_read <- None
     end
-    else Stats.incr t.stats "llc.dram_backpressure_stalls"
+    else Stats.bump t.ctr.k_dram_backpressure_stalls
   | None -> (
     match Fifo.peek_opt t.dq with
     | None -> ()
@@ -714,7 +772,7 @@ let dq_dequeue t ~now =
             { Controller.read = true; line = e.e_line; tag = idx };
           e.e_phase <- P_wait_dram
         end
-        else Stats.incr t.stats "llc.dram_backpressure_stalls"
+        else Stats.bump t.ctr.k_dram_backpressure_stalls
       | Dq_wb ->
         if Controller.can_accept t.dram then begin
           ignore (Fifo.deq t.dq);
@@ -724,7 +782,7 @@ let dq_dequeue t ~now =
             (* One-cycle dequeue: set the retry bit and re-enter the
                pipeline as a pure miss (Figure 3). *)
             e.e_retry <- true;
-            Stats.incr t.stats "llc.dq_retries";
+            Stats.bump t.ctr.k_dq_retries;
             if Trace.active t.trace Trace.Llc then
               Trace.emit t.trace ~now
                 (Trace.Dq_retry { core = e.e_core; idx });
@@ -733,10 +791,10 @@ let dq_dequeue t ~now =
           else begin
             (* Baseline: block the DQ port next cycle for the read. *)
             t.dq_pending_read <- Some idx;
-            Stats.incr t.stats "llc.dq_double_dequeues"
+            Stats.bump t.ctr.k_dq_double_dequeues
           end
         end
-        else Stats.incr t.stats "llc.dram_backpressure_stalls"))
+        else Stats.bump t.ctr.k_dram_backpressure_stalls))
 
 (* ------------------------------------------------------------------ *)
 (* Tick                                                                *)
@@ -752,11 +810,7 @@ let tick t ~now =
   enter_pipeline t ~now;
   dq_dequeue t ~now;
   let p = Selfprof.switch t.selfprof Selfprof.ph_dram in
-  Controller.tick t.dram ~now ~respond:(fun ~tag ~line ->
-      let e = entry t tag in
-      assert (e.e_line = line);
-      (* No backpressure on the DRAM response: buffered in the MSHR. *)
-      e.e_phase <- P_dram_arrived);
+  Controller.tick t.dram ~now ~respond:t.respond;
   Selfprof.restore t.selfprof p
 
 let busy t =

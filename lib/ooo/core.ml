@@ -29,12 +29,32 @@ type predictor_ctx = {
   px_btb : Btb.snapshot;
 }
 
+(* Counter handles, bound once at [create]. *)
+type counters = {
+  k_cycles : Stats.counter;
+  k_fetched : Stats.counter;
+  k_branches : Stats.counter;
+  k_mispredicts : Stats.counter;
+  k_btb_jump_misses : Stats.counter;
+  k_ras_mispredicts : Stats.counter;
+  k_dtlb_misses : Stats.counter;
+  k_l2tlb_misses : Stats.counter;
+  k_itlb_misses : Stats.counter;
+  k_traps : Stats.counter;
+  k_store_forwards : Stats.counter;
+  k_sb_full_stalls : Stats.counter;
+  k_purge_stall_cycles : Stats.counter;
+  k_predictor_restores : Stats.counter;
+  k_purges : Stats.counter;
+  k_cpi : Stats.counter array; (* indexed like [cpi_counters] *)
+}
+
 type t = {
   cfg : Core_config.t;
   l1i : L1.t;
   l1d : L1.t;
   stream : unit -> Uop.t option;
-  stats : Stats.t;
+  ctr : counters;
   (* Front end *)
   btb : Btb.t;
   tournament : Tournament.t;
@@ -44,6 +64,7 @@ type t = {
   l2tlb : Tlb.t;
   tcache : Trans_cache.t;
   ptw : Ptw.t;
+  ptw_issue : line:int -> id:int -> bool; (* walker reads into the L1D *)
   fetch_q : rob_ref Fifo.t;
   mutable stream_done : bool;
   mutable fetch_stall_until : int;
@@ -98,6 +119,49 @@ and rob_ref = { pre_uop : Uop.t; pre_mispredict : bool }
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Counter names indexed by Cpistack.categories order:
+   base / mispredict / l1_miss / llc_dram / tlb_walk / purge / other. *)
+let cpi_counters =
+  [|
+    "core.cpi.base";
+    "core.cpi.mispredict";
+    "core.cpi.l1_miss";
+    "core.cpi.llc_dram";
+    "core.cpi.tlb_walk";
+    "core.cpi.purge";
+    "core.cpi.other";
+  |]
+
+let counters stats =
+  let c = Stats.counter stats in
+  {
+    k_cycles = c "core.cycles";
+    k_fetched = c "core.fetched";
+    k_branches = c "core.branches";
+    k_mispredicts = c "core.mispredicts";
+    k_btb_jump_misses = c "core.btb_jump_misses";
+    k_ras_mispredicts = c "core.ras_mispredicts";
+    k_dtlb_misses = c "core.dtlb_misses";
+    k_l2tlb_misses = c "core.l2tlb_misses";
+    k_itlb_misses = c "core.itlb_misses";
+    k_traps = c "core.traps";
+    k_store_forwards = c "core.store_forwards";
+    k_sb_full_stalls = c "core.sb_full_stalls";
+    k_purge_stall_cycles = c "core.purge_stall_cycles";
+    k_predictor_restores = c "core.predictor_restores";
+    k_purges = c "core.purges";
+    k_cpi = Array.map c cpi_counters;
+  }
+
+(* The page walker's memory port: a walk read enters the L1D when it has
+   room. *)
+let ptw_issue l1d ~line ~id =
+  L1.can_accept l1d
+  && begin
+    L1.request l1d ~line ~store:false ~id;
+    true
+  end
+
 let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     ~l1i ~l1d ~stream ~stats ~pt_base_line =
   let tcache = Trans_cache.create ~entries_per_level:24 ~levels:2 in
@@ -110,7 +174,7 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     l1i;
     l1d;
     stream;
-    stats;
+    ctr = counters stats;
     btb = Btb.create ();
     tournament = Tournament.create ();
     ras = Ras.create ();
@@ -121,6 +185,7 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     ptw =
       Ptw.create ~trace ~core:id ~max_walks:2 ~tcache ~pt_base_line
         ~table_window_lines:4096 ();
+    ptw_issue = ptw_issue l1d;
     fetch_q = Fifo.create ~capacity:16;
     stream_done = false;
     fetch_stall_until = 0;
@@ -224,7 +289,7 @@ let translate_d t ~addr ~k =
   end
   else if t.dtlb_outstanding >= t.cfg.Core_config.dtlb_misses then false
   else begin
-    Stats.incr t.stats "core.dtlb_misses";
+    Stats.bump t.ctr.k_dtlb_misses;
     t.dtlb_outstanding <- t.dtlb_outstanding + 1;
     after t t.cfg.Core_config.l2tlb_latency (fun () ->
         if Tlb.lookup t.l2tlb ~vpage then begin
@@ -233,7 +298,7 @@ let translate_d t ~addr ~k =
           k ()
         end
         else begin
-          Stats.incr t.stats "core.l2tlb_misses";
+          Stats.bump t.ctr.k_l2tlb_misses;
           (* Hardware walk; waits for a walker slot if both are busy. *)
           let rec start_walk () =
             if Ptw.can_start t.ptw then
@@ -289,7 +354,7 @@ let fetch_mem_ok t (u : Uop.t) =
   else begin
     (* Page transition first: I-TLB. *)
     if page <> t.last_fetch_page && not (Tlb.lookup t.itlb ~vpage:page) then begin
-      Stats.incr t.stats "core.itlb_misses";
+      Stats.bump t.ctr.k_itlb_misses;
       t.fetch_wait_itlb <- true;
       after t t.cfg.Core_config.l2tlb_latency (fun () ->
           if Tlb.lookup t.l2tlb ~vpage:page then begin
@@ -339,13 +404,13 @@ type fetch_outcome = F_ok | F_stall_until_resolve | F_decode_redirect
 let predict_control t (u : Uop.t) =
   match u.Uop.kind with
   | Uop.Branch { taken; target } ->
-    Stats.incr t.stats "core.branches";
+    Stats.bump t.ctr.k_branches;
     let pred_dir = Tournament.predict t.tournament ~pc:u.Uop.pc in
     let btb_target = Btb.predict t.btb ~pc:u.Uop.pc in
     Tournament.update t.tournament ~pc:u.Uop.pc ~taken;
     if taken then Btb.update t.btb ~pc:u.Uop.pc ~target;
     if pred_dir <> taken || (taken && btb_target <> Some target) then begin
-      Stats.incr t.stats "core.mispredicts";
+      Stats.bump t.ctr.k_mispredicts;
       F_stall_until_resolve
     end
     else F_ok
@@ -357,15 +422,15 @@ let predict_control t (u : Uop.t) =
       Btb.update t.btb ~pc:u.Uop.pc ~target;
       if hit then F_ok
       else begin
-        Stats.incr t.stats "core.btb_jump_misses";
+        Stats.bump t.ctr.k_btb_jump_misses;
         F_decode_redirect
       end
     | `Return ->
       let pred = Ras.pop t.ras in
       if pred = target then F_ok
       else begin
-        Stats.incr t.stats "core.ras_mispredicts";
-        Stats.incr t.stats "core.mispredicts";
+        Stats.bump t.ctr.k_ras_mispredicts;
+        Stats.bump t.ctr.k_mispredicts;
         F_stall_until_resolve
       end)
   | _ -> F_ok
@@ -389,7 +454,7 @@ let fetch_stage t =
            still enters the fetch queue but fetch stalls behind it.  We
            model by consuming it and stalling afterwards. *)
         let mem_ok = fetch_mem_ok t u in
-        Stats.incr t.stats "core.fetched";
+        Stats.bump t.ctr.k_fetched;
         let mispredicted = ref false in
         (match u.Uop.kind with
         | Uop.Branch _ | Uop.Jump _ -> (
@@ -490,7 +555,7 @@ let rename_stage t =
            may rename this cycle (the purge needs an empty machine). *)
         t.committed <- t.committed + 1;
         t.on_commit u;
-        Stats.incr t.stats "core.traps";
+        Stats.bump t.ctr.k_traps;
         (* Trap delivered: the front end redirects into the handler and
            pays the refill penalty (absorbed by the purge stall on the
            flushing variants). *)
@@ -644,7 +709,7 @@ let issue_mem t idx =
     let line = addr lsr 6 in
     let k () =
       if forwardable t line then begin
-        Stats.incr t.stats "core.store_forwards";
+        Stats.bump t.ctr.k_store_forwards;
         after t 1 (fun () -> mark_done t idx)
       end
       else begin
@@ -734,7 +799,7 @@ let commit_stage t =
               Queue.add slot t.sb_pending;
               true
             | None ->
-              Stats.incr t.stats "core.sb_full_stalls";
+              Stats.bump t.ctr.k_sb_full_stalls;
               false)
           | _ -> true
         in
@@ -787,7 +852,7 @@ let purge_stage t =
   match t.purge with
   | Pp_none -> ()
   | Pp_quiesce ->
-    Stats.incr t.stats "core.purge_stall_cycles";
+    Stats.bump t.ctr.k_purge_stall_cycles;
     if backend_quiescent t then begin
       L1.begin_flush t.l1i;
       L1.begin_flush t.l1d;
@@ -797,7 +862,7 @@ let purge_stage t =
       t.purge <- Pp_flush t.now
     end
   | Pp_flush started ->
-    Stats.incr t.stats "core.purge_stall_cycles";
+    Stats.bump t.ctr.k_purge_stall_cycles;
     (* One line per cycle per L1; TLB sets and predictor entries flush in
        parallel within the purge floor. *)
     let i_done = if L1.is_flushing t.l1i then L1.flush_step t.l1i else true in
@@ -822,7 +887,7 @@ let purge_stage t =
         Tournament.restore t.tournament ctx.px_tournament;
         Btb.restore t.btb ctx.px_btb;
         t.saved_predictors <- None;
-        Stats.incr t.stats "core.predictor_restores"
+        Stats.bump t.ctr.k_predictor_restores
       | _ ->
         t.saved_predictors <- None;
         Tournament.flush t.tournament;
@@ -834,7 +899,7 @@ let purge_stage t =
       Trans_cache.flush t.tcache;
       t.last_fetch_line <- -1;
       t.last_fetch_page <- -1;
-      Stats.incr t.stats "core.purges";
+      Stats.bump t.ctr.k_purges;
       let dur = t.now - t.purge_started in
       Histogram.add t.purge_lat dur;
       if Trace.active t.trace Trace.Purge then
@@ -860,18 +925,6 @@ let purge_stage t =
    I-TLB refill); otherwise the ROB head names the bottleneck — memory
    stalls split into TLB-walk, L1-miss (served within the LLC round
    trip) and LLC/DRAM (older than the round-trip hint). *)
-(* Counter names indexed by Cpistack.categories order:
-   base / mispredict / l1_miss / llc_dram / tlb_walk / purge / other. *)
-let cpi_counters =
-  [|
-    "core.cpi.base";
-    "core.cpi.mispredict";
-    "core.cpi.l1_miss";
-    "core.cpi.llc_dram";
-    "core.cpi.tlb_walk";
-    "core.cpi.purge";
-    "core.cpi.other";
-  |]
 
 let attribute_cycle t ~committed_before =
   let cat =
@@ -901,7 +954,7 @@ let attribute_cycle t ~committed_before =
     end
   in
   t.last_cpi <- cat;
-  Stats.incr t.stats cpi_counters.(cat)
+  Stats.bump t.ctr.k_cpi.(cat)
 
 (* The stall category (Cpistack.categories index) the last tick was
    attributed to; feeds the per-cause quiet-cycle accounting. *)
@@ -914,7 +967,7 @@ let last_cycle_cause t = t.last_cpi
 let tick t ~now =
   t.now <- now;
   let committed_before = t.committed in
-  Stats.incr t.stats "core.cycles";
+  Stats.bump t.ctr.k_cycles;
   if now land 255 = 0 && Trace.active t.trace Trace.Core then
     Trace.emit t.trace ~now
       (Trace.Counter { core = t.id; name = "rob"; value = t.rob_count });
@@ -930,12 +983,7 @@ let tick t ~now =
     ignore (Selfprof.switch sp Selfprof.ph_mem);
     sb_stage t;
     ignore (Selfprof.switch sp Selfprof.ph_ptw);
-    Ptw.tick t.ptw ~issue:(fun ~line ~id ->
-        if L1.can_accept t.l1d then begin
-          L1.request t.l1d ~line ~store:false ~id;
-          true
-        end
-        else false);
+    Ptw.tick t.ptw ~issue:t.ptw_issue;
     ignore (Selfprof.switch sp Selfprof.ph_commit);
     commit_stage t;
     ignore (Selfprof.switch sp Selfprof.ph_purge);
@@ -955,12 +1003,7 @@ let tick t ~now =
       ignore (Selfprof.switch sp Selfprof.ph_mem);
       sb_stage t;
       ignore (Selfprof.switch sp Selfprof.ph_ptw);
-      Ptw.tick t.ptw ~issue:(fun ~line ~id ->
-          if L1.can_accept t.l1d then begin
-            L1.request t.l1d ~line ~store:false ~id;
-            true
-          end
-          else false);
+      Ptw.tick t.ptw ~issue:t.ptw_issue;
       ignore (Selfprof.switch sp Selfprof.ph_rename);
       rename_stage t;
       ignore (Selfprof.switch sp Selfprof.ph_fetch);

@@ -35,7 +35,8 @@ let peek q =
   if is_empty q then failwith "Fifo.peek: empty";
   match q.buf.(q.head) with None -> assert false | Some x -> x
 
-let peek_opt q = if is_empty q then None else Some (peek q)
+(* The stored [Some] cell is returned as is, so peeking never allocates. *)
+let peek_opt q = if is_empty q then None else q.buf.(q.head)
 
 let clear q =
   Array.fill q.buf 0 (Array.length q.buf) None;

@@ -11,7 +11,22 @@ let cell t name =
     r
 
 let incr t name = incr (cell t name)
-let add t name k = cell t name := !(cell t name) + k
+
+let add t name k =
+  let r = cell t name in
+  r := !r + k
+
+(* A handle resolves its cell on the first bump, so a counter that is
+   never bumped never enters the table.  [unbound] is a shared sentinel
+   that is compared by identity and never written. *)
+type counter = { tbl : t; name : string; mutable r : int ref }
+
+let unbound = ref 0
+let counter t name = { tbl = t; name; r = unbound }
+
+let bump c =
+  if c.r == unbound then c.r <- cell c.tbl c.name;
+  Stdlib.incr c.r
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 let set t name v = cell t name := v
 let reset t = Hashtbl.iter (fun _ r -> r := 0) t

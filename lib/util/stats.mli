@@ -14,6 +14,28 @@ val incr : t -> string -> unit
 (** [add t name k] adds [k]. *)
 val add : t -> string -> int -> unit
 
+(** A counter handle, bound once (typically at a component's [create])
+    so that the per-cycle path bumps an [int ref] without building or
+    hashing the name.
+
+    - The handle resolves its cell lazily, on the first {!bump}.  A
+      counter that is never bumped therefore never appears in {!names},
+      {!to_assoc} or {!pp}, exactly as with {!incr}.
+    - Handles on the same name share one cell, with each other and with
+      {!incr}/{!add}/{!set}/{!get} on that name; a handle made before
+      [set] on its name picks up the cell that [set] created.
+    - {!reset} and {!restore} rewrite cells in place and never remove
+      one, so a handle stays valid across checkpoints: bumps after
+      [restore ~into] land in the live table.  Snapshots from {!copy}
+      and {!diff} are separate tables and do not move. *)
+type counter
+
+(** [counter t name] is a handle on counter [name] of [t]. *)
+val counter : t -> string -> counter
+
+(** [bump c] adds one to the handle's counter. *)
+val bump : counter -> unit
+
 (** [get t name] is the current value, 0 if never touched. *)
 val get : t -> string -> int
 

@@ -426,6 +426,61 @@ let test_dram_fold_views_agree () =
       ("fr-fcfs", Controller.reordering Fr_fcfs.default_config ~stats);
     ]
 
+(* The per-cycle path allocates nothing: after one warm-up tick, 10 000
+   idle ticks leave the minor heap where it was.  The words that reading
+   [Gc.minor_words] itself costs are measured on an empty loop and
+   subtracted. *)
+let idle_ticks = 10_000
+
+let minor_words_of tick =
+  let w0 = Gc.minor_words () in
+  for now = 1 to idle_ticks do
+    tick now
+  done;
+  Gc.minor_words () -. w0
+
+let check_no_alloc name tick =
+  tick 0;
+  let probe = minor_words_of (fun _ -> ()) in
+  Alcotest.(check (float 0.0))
+    (name ^ ": minor words over idle ticks")
+    0.0
+    (minor_words_of tick -. probe)
+
+let const_controller stats =
+  Mi6_dram.Controller.constant ~latency:120 ~max_outstanding:24 ~stats ()
+
+let test_llc_idle_tick_no_alloc () =
+  List.iter
+    (fun (sname, security) ->
+      List.iter
+        (fun ports ->
+          let stats = Stats.create () in
+          let links = Array.init ports (fun _ -> Link.create ~depth:4) in
+          let llc =
+            Llc.create (Llc.default_config ~cores:ports) ~security ~links
+              ~dram:(const_controller stats) ~stats
+          in
+          check_no_alloc
+            (Printf.sprintf "Llc.tick %s %d ports" sname ports)
+            (fun now -> Llc.tick llc ~now))
+        [ 2; 4 ])
+    [ ("baseline", Llc.baseline_security); ("mi6", Llc.mi6_security) ]
+
+let test_dram_idle_tick_no_alloc () =
+  let dram = const_controller (Stats.create ()) in
+  let respond ~tag:_ ~line:_ = () in
+  check_no_alloc "Controller.tick constant"
+    (fun now -> Mi6_dram.Controller.tick dram ~now ~respond)
+
+let test_l1_idle_tick_no_alloc () =
+  let l1 =
+    L1.create L1.default_config ~link:(Link.create ~depth:4)
+      ~stats:(Stats.create ()) ~name:"l1d.0"
+  in
+  let complete _ = () in
+  check_no_alloc "L1.tick empty" (fun now -> L1.tick l1 ~now ~complete)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -468,6 +523,15 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "dram fold views agree" `Quick
             test_dram_fold_views_agree;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "idle Llc.tick allocates nothing" `Quick
+            test_llc_idle_tick_no_alloc;
+          Alcotest.test_case "idle DRAM tick allocates nothing" `Quick
+            test_dram_idle_tick_no_alloc;
+          Alcotest.test_case "idle L1.tick allocates nothing" `Quick
+            test_l1_idle_tick_no_alloc;
         ] );
       ( "properties",
         qsuite

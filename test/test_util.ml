@@ -284,6 +284,54 @@ let test_stats_merge () =
   check_int "merged existing" 3 (Stats.get a "x");
   check_int "merged fresh" 3 (Stats.get a "y")
 
+(* Counter handles: lazy binding, shared cells, checkpoint survival. *)
+
+let test_stats_handle_unbumped () =
+  let s = Stats.create () in
+  Stats.set s "a" 1;
+  let _never = Stats.counter s "b" in
+  Alcotest.(check (list string)) "names unchanged" [ "a" ] (Stats.names s);
+  Alcotest.(check (list (pair string int)))
+    "assoc unchanged" [ ("a", 1) ] (Stats.to_assoc s)
+
+let test_stats_handle_shared () =
+  let s = Stats.create () in
+  let c1 = Stats.counter s "x" and c2 = Stats.counter s "x" in
+  Stats.bump c1;
+  Stats.bump c2;
+  Stats.incr s "x";
+  Stats.bump c1;
+  check_int "one cell" 4 (Stats.get s "x");
+  Alcotest.(check (list string)) "one name" [ "x" ] (Stats.names s)
+
+let test_stats_handle_before_set () =
+  let s = Stats.create () in
+  let c = Stats.counter s "x" in
+  Stats.set s "x" 10;
+  Stats.bump c;
+  check_int "bump lands in the set cell" 11 (Stats.get s "x");
+  Stats.set s "x" 20;
+  Stats.bump c;
+  check_int "still the same cell" 21 (Stats.get s "x")
+
+let test_stats_handle_restore () =
+  let s = Stats.create () in
+  let c = Stats.counter s "x" in
+  Stats.bump c;
+  Stats.bump c;
+  let snap = Stats.copy s in
+  Stats.bump c;
+  let d = Stats.diff s ~baseline:snap in
+  Stats.restore ~into:s snap;
+  check_int "restored" 2 (Stats.get s "x");
+  Stats.bump c;
+  check_int "bump after restore lands in the live table" 3 (Stats.get s "x");
+  check_int "copy snapshot unmoved" 2 (Stats.get snap "x");
+  check_int "diff snapshot unmoved" 1 (Stats.get d "x");
+  Stats.reset s;
+  Stats.bump c;
+  check_int "bump after reset" 1 (Stats.get s "x")
+
 (* ------------------------------------------------------------------ *)
 (* Table                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -537,6 +585,14 @@ let () =
           Alcotest.test_case "counters" `Quick test_stats_counters;
           Alcotest.test_case "per kilo" `Quick test_stats_per_kilo;
           Alcotest.test_case "merge" `Quick test_stats_merge;
+          Alcotest.test_case "unbumped handle stays unlisted" `Quick
+            test_stats_handle_unbumped;
+          Alcotest.test_case "handles share a cell" `Quick
+            test_stats_handle_shared;
+          Alcotest.test_case "handle picks up a set cell" `Quick
+            test_stats_handle_before_set;
+          Alcotest.test_case "handle survives restore" `Quick
+            test_stats_handle_restore;
         ] );
       ( "table",
         [
