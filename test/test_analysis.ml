@@ -470,6 +470,40 @@ let test_lint_secure_clean () =
         0 (List.length fs))
     [ 1; 2; 4 ]
 
+(* The closure table: which inferable channels each configuration shuts,
+   at every core count the evaluation uses. *)
+let test_closure_table () =
+  let table =
+    [
+      ("BASE", []);
+      ("ARB", []);
+      ("NONSPEC", []);
+      ("FLUSH", [ "purge"; "btb"; "rsb" ]);
+      ("PART", [ "cache-fill" ]);
+      ("MISS", [ "dram-cmd" ]);
+      ("F+P+M+A", [ "dram-cmd"; "cache-fill"; "page-walk"; "purge"; "btb"; "rsb" ]);
+      ("mi6", List.map Channel.name Channel.all);
+    ]
+  in
+  List.iter
+    (fun (name, expected) ->
+      List.iter
+        (fun cores ->
+          let timing =
+            match Config.variant_of_name name with
+            | Some v -> Config.timing ~cores v
+            | None -> Config.secure_multicore ~cores
+          in
+          let closed =
+            List.filter (fun ch -> Channel.closes ~timing ch) Channel.all
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s closes at %d cores" name cores)
+            (List.sort compare expected)
+            (List.sort compare (List.map Channel.name closed)))
+        [ 1; 2; 4 ])
+    table
+
 let test_lint_base_findings () =
   let fs = Lint.lint_timing ~name:"base" (Config.timing ~cores:2 Config.Base) in
   List.iter
@@ -733,6 +767,7 @@ let () =
           Alcotest.test_case "secure machine clean" `Quick
             test_lint_secure_clean;
           Alcotest.test_case "BASE findings" `Quick test_lint_base_findings;
+          Alcotest.test_case "channel closure table" `Quick test_closure_table;
           Alcotest.test_case "purge floor" `Quick test_lint_purge_floor;
           Alcotest.test_case "MSHR sizing" `Quick test_lint_mshr_sizing;
           Alcotest.test_case "LLC set partitions" `Quick test_lint_partitions;
