@@ -33,6 +33,13 @@
 
 open Mi6_obs
 
+(* The channel [name] denotes, when it is one of [among] (a subset of the
+   vocabulary: what the audit traces, or what inference can name). *)
+let channel_in among name =
+  match Channel.of_name name with
+  | Some ch when List.mem ch among -> Some ch
+  | _ -> None
+
 let read_file file =
   let ic = open_in_bin file in
   let n = in_channel_length ic in
@@ -151,13 +158,15 @@ let check_bisect ?audit json =
     | Some cs, Some c when not (List.mem c cs) ->
       bad "component %S missing from \"components\"" c
     | _ -> ());
-    let channels = string_list "audit_channels" in
-    let audit_names = List.map Audit.channel_name Audit.all_channels in
-    Option.iter
-      (List.iter (fun ch ->
-           if not (List.mem ch audit_names) then
-             bad "audit_channels: unknown audit channel %S" ch))
-      channels;
+    let channels =
+      Option.map
+        (List.filter_map (fun name ->
+             let ch = channel_in Channel.traced name in
+             if ch = None then
+               bad "audit_channels: unknown audit channel %S" name;
+             ch))
+        (string_list "audit_channels")
+    in
     List.iter
       (fun name -> ignore (string_list name))
       [ "uops_a"; "uops_b"; "trace_a"; "trace_b" ];
@@ -193,12 +202,15 @@ let check_bisect ?audit json =
       match
         Option.bind (Json.member "verdict" audit_json) (Json.member "baseline_channel")
       with
-      | Some (Json.String ch) ->
-        if not (List.mem ch channels) then
+      | Some (Json.String name) -> (
+        match channel_in Channel.traced name with
+        | Some ch when List.mem ch channels -> ()
+        | _ ->
           bad
             "audit's leaking channel %S is not hosted by the diverging \
              component (channels: %s)"
-            ch (String.concat ", " channels)
+            name
+            (String.concat ", " (List.map Channel.name channels)))
       | _ -> bad "audit report lacks verdict.baseline_channel")
     | _ -> ())
   | Some (Json.Bool false) -> ignore (int_field "cycles_run")
@@ -214,9 +226,6 @@ let check_bisect ?audit json =
 let check_ni json =
   let problems = ref [] in
   let bad fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let channel_names =
-    List.map Audit.channel_name Audit.all_channels
-  in
   (match Json.member "schema" json with
   | Some (Json.String "mi6.ni/1") -> ()
   | Some (Json.String other) -> bad "schema is %S, want \"mi6.ni/1\"" other
@@ -273,7 +282,7 @@ let check_ni json =
             | Some _ -> bad "results[%d].shrunk is not a string" i);
             match Json.member "channel" r with
             | Some (Json.String c) ->
-              if not (List.mem c channel_names) then
+              if channel_in Channel.traced c = None then
                 bad "results[%d]: unknown audit channel %S" i c
             | _ ->
               bad
@@ -306,9 +315,6 @@ let check_ni json =
 let check_lint json =
   let problems = ref [] in
   let bad fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let channel_names =
-    List.map Mi6_analysis.Channel.name Mi6_analysis.Channel.all
-  in
   let kind_names =
     [
       "branch-condition"; "jump-target"; "load-address"; "store-address";
@@ -344,12 +350,13 @@ let check_lint json =
       in
       if List.length names <> List.length l then
         bad "%s: %S is not a list of strings" where name;
-      List.iter
-        (fun c ->
-          if not (List.mem c channel_names) then
-            bad "%s: unknown channel %S in %S" where c name)
-        names;
-      Some names
+      Some
+        (List.filter_map
+           (fun c ->
+             let ch = channel_in Channel.inferable c in
+             if ch = None then bad "%s: unknown channel %S in %S" where c name;
+             ch)
+           names)
     | Some _ ->
       bad "%s: %S is not a list" where name;
       None
@@ -395,7 +402,8 @@ let check_lint json =
         List.iter
           (fun o ->
             if not (List.mem o cs) then
-              bad "%s: open channel %S not among \"channels\"" where o)
+              bad "%s: open channel %S not among \"channels\"" where
+                (Channel.name o))
           os
       | _ -> ());
       match chans with
@@ -414,7 +422,7 @@ let check_lint json =
     if channels_on then
       match Json.member "channel" f with
       | Some (Json.String c) ->
-        if not (List.mem c channel_names) then
+        if channel_in Channel.inferable c = None then
           bad "%s: unknown channel %S" where c
       | Some Json.Null -> ()
       | _ -> bad "%s: \"channel\" is neither string nor null" where

@@ -25,7 +25,8 @@ open Mi6_core
 module Taint = Mi6_analysis.Taint
 module Hwlint = Mi6_analysis.Lint
 module Witness = Mi6_analysis.Witness
-module Channel = Mi6_analysis.Channel
+module Channel = Mi6_obs.Channel
+module Leak_infer = Mi6_analysis.Leak_infer
 
 (* ------------------------------------------------------------------ *)
 (* Converters                                                          *)
@@ -599,7 +600,7 @@ let audit_cmd =
     (match baseline_channel with
     | Some ch ->
       Printf.printf "  baseline LLC leaks, first through the %s channel%s\n"
-        (Audit.channel_name ch)
+        (Channel.name ch)
         (match baseline_cycle with
         | Some c ->
           Printf.sprintf " (first divergence at victim cycle %d)" c
@@ -649,7 +650,7 @@ let audit_cmd =
                   ("baseline_leaks", Json.Bool (baseline_channel <> None));
                   ( "baseline_channel",
                     match baseline_channel with
-                    | Some ch -> Json.String (Audit.channel_name ch)
+                    | Some ch -> Json.String (Channel.name ch)
                     | None -> Json.Null );
                   ( "baseline_first_divergence_cycle",
                     match baseline_cycle with
@@ -1525,12 +1526,27 @@ let lint_cmd =
       in
       (* Channel inference resolves findings against the machine being
          linted; with no --machine, the insecure BASE geometry (the one
-         the dynamic Audit cross-check runs). *)
-      let channel_timing =
+         the dynamic Audit cross-check runs).  With neither a machine nor
+         a program, the MI6 configuration is what gets linted. *)
+      let programs_given = witnesses <> None || hex <> None in
+      let target =
         match machine with
-        | Some M_mi6 -> Config.secure_multicore ~cores
-        | Some (M_variant v) -> Config.timing ~cores v
-        | None -> Config.timing ~cores Config.Base
+        | Some m -> m
+        | None -> if programs_given then M_variant Config.Base else M_mi6
+      in
+      let target_name, channel_timing =
+        match target with
+        | M_mi6 -> ("mi6", Config.secure_multicore ~cores)
+        | M_variant v -> (Config.variant_name v, Config.timing ~cores v)
+      in
+      (* Which channels the target closes is read off its lint findings;
+         linting samples the index function, so do it once. *)
+      let target_lint =
+        lazy (Hwlint.lint_timing ~name:target_name channel_timing)
+      in
+      let open_channels f =
+        Leak_infer.open_channels ~timing:channel_timing
+          ~lint:(Lazy.force target_lint) f
       in
       let channel_note f =
         if not channels then ""
@@ -1540,8 +1556,8 @@ let lint_cmd =
             else String.concat "," (List.map Channel.name chs)
           in
           Printf.sprintf "\n      channels: %s; open here: %s"
-            (names (Channel.infer ~timing:channel_timing f))
-            (names (Channel.open_channels ~timing:channel_timing f))
+            (names (Leak_infer.infer ~timing:channel_timing f))
+            (names (open_channels f))
       in
       let analyze_one ~name ~secret ~shared program =
         let shared = shared @ shared_ranges in
@@ -1598,18 +1614,11 @@ let lint_cmd =
         from_witnesses @ from_hex
       in
       let config_reports =
-        let lint_machine m =
-          let name =
-            match m with M_mi6 -> "mi6" | M_variant v -> Config.variant_name v
-          in
-          let timing =
-            match m with
-            | M_mi6 -> Config.secure_multicore ~cores
-            | M_variant v -> Config.timing ~cores v
-          in
-          let findings = Hwlint.lint_timing ~name timing in
+        if machine = None && programs_given then []
+        else begin
+          let findings = Lazy.force target_lint in
           let findings =
-            match m with
+            match target with
             | M_variant _ -> findings
             | M_mi6 ->
               (* Exercise the Section 6.1 ownership checks on a populated
@@ -1629,18 +1638,18 @@ let lint_cmd =
               findings @ Hwlint.lint_ledger ledger
           in
           let config_note (f : Hwlint.finding) =
-            if not channels then ""
-            else
-              match Channel.of_lint_check f.Hwlint.check with
-              | Some ch -> Printf.sprintf "  [channel: %s]" (Channel.name ch)
-              | None -> ""
+            match f.Hwlint.channel with
+            | Some ch when channels ->
+              Printf.sprintf "  [channel: %s]" (Channel.name ch)
+            | _ -> ""
           in
           let n = List.length findings in
           if n = 0 then
-            Printf.printf "lint: machine %-14s clean (%d cores)\n" name cores
+            Printf.printf "lint: machine %-14s clean (%d cores)\n" target_name
+              cores
           else begin
-            Printf.printf "lint: machine %-14s %d finding%s (%d cores)\n" name
-              n
+            Printf.printf "lint: machine %-14s %d finding%s (%d cores)\n"
+              target_name n
               (if n = 1 then "" else "s")
               cores;
             List.iter
@@ -1650,12 +1659,8 @@ let lint_cmd =
                   (config_note f))
               findings
           end;
-          (name, findings)
-        in
-        match (machine, program_reports) with
-        | Some m, _ -> [ lint_machine m ]
-        | None, [] -> [ lint_machine M_mi6 ]
-        | None, _ -> []
+          [ (target_name, findings) ]
+        end
       in
       let count reports =
         List.fold_left (fun acc (_, fs) -> acc + List.length fs) 0 reports
@@ -1676,10 +1681,9 @@ let lint_cmd =
             append_fields base
               [
                 ( "channels",
-                  Channel.to_json (Channel.infer ~timing:channel_timing f) );
-                ( "open_channels",
-                  Channel.to_json
-                    (Channel.open_channels ~timing:channel_timing f) );
+                  Channel.to_json (Leak_infer.infer ~timing:channel_timing f)
+                );
+                ("open_channels", Channel.to_json (open_channels f));
               ]
         in
         let config_finding_json (f : Hwlint.finding) =
@@ -1689,7 +1693,7 @@ let lint_cmd =
             append_fields base
               [
                 ( "channel",
-                  match Channel.of_lint_check f.Hwlint.check with
+                  match f.Hwlint.channel with
                   | Some ch -> Json.String (Channel.name ch)
                   | None -> Json.Null );
               ]
@@ -1755,7 +1759,7 @@ type ni_result = {
   ni_schedule : Schedule.t;
   ni_verdict : Schedule.verdict;
   ni_shrunk : Schedule.t option;  (* falsified only *)
-  ni_channel : Mi6_obs.Audit.channel option;
+  ni_channel : Channel.t option;
 }
 
 let ni_cmd =
@@ -1874,7 +1878,7 @@ let ni_cmd =
             Printf.printf "  shrunk  %s\n" (Schedule.to_string s');
           (match r.ni_channel with
           | Some c ->
-            Printf.printf "  channel %s\n" (Mi6_obs.Audit.channel_name c)
+            Printf.printf "  channel %s\n" (Channel.name c)
           | None -> ());
           let v = (if generated then Body.check s' else r.ni_verdict) in
           Format.printf "  body:@.%a  reference:@.%a"
@@ -1911,7 +1915,7 @@ let ni_cmd =
           @ [
               ( "channel",
                 match r.ni_channel with
-                | Some c -> Json.String (Audit.channel_name c)
+                | Some c -> Json.String (Channel.name c)
                 | None -> Json.Null );
               ( "observation",
                 Schedule.observation_to_json r.ni_verdict.Schedule.v_obs );

@@ -1,4 +1,9 @@
-type finding = { check : string; subject : string; message : string }
+type finding = {
+  check : string;
+  subject : string;
+  channel : Channel.t option;
+  message : string;
+}
 
 type coverage = Drained | Flushed of { entries : int; rate : int }
 
@@ -89,14 +94,18 @@ let lint_partitions ~geometry ~name idx =
   let n = geometry.Addr.region_count in
   let usages = Array.init n (region_usage ~geometry idx) in
   let findings = ref [] in
-  let f check message = findings := { check; subject = name; message } :: !findings in
+  let f message =
+    findings :=
+      { check = "llc-partition"; subject = name; channel = Some Cache; message }
+      :: !findings
+  in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       if
         (not (Bitvec.equal usages.(i) usages.(j)))
         && not (Bitvec.disjoint usages.(i) usages.(j))
       then
-        f "llc-partition"
+        f
           (Printf.sprintf
              "DRAM regions %d and %d share some but not all LLC sets — the \
               index function is not a partition"
@@ -111,7 +120,7 @@ let lint_partitions ~geometry ~name idx =
          []
   in
   if List.length classes < 2 then
-    f "llc-partition"
+    f
       (Printf.sprintf
          "a single set-partition class: every DRAM region can evict every \
           LLC set (flat index, Section 7.2 violated)")
@@ -121,7 +130,7 @@ let lint_partitions ~geometry ~name idx =
     in
     let sets = Index.sets idx in
     if covered <> sets then
-      f "llc-partition"
+      f
         (Printf.sprintf
            "partition classes cover %d sets of %d — the classes do not tile \
             the cache"
@@ -135,7 +144,9 @@ let lint_partitions ~geometry ~name idx =
 
 let lint_region_masks ~subject masks =
   let findings = ref [] in
-  let f check message = findings := { check; subject; message } :: !findings in
+  let f check channel message =
+    findings := { check; subject; channel = Some channel; message } :: !findings
+  in
   (match masks with
   | [] | [ _ ] -> ()
   | (_, first) :: _ ->
@@ -143,7 +154,7 @@ let lint_region_masks ~subject masks =
     List.iter
       (fun (label, m) ->
         if Bitvec.length m <> w then
-          f "region-mask-width"
+          f "region-mask-width" Dram
             (Printf.sprintf "mask of %s is %d bits wide, expected %d" label
                (Bitvec.length m) w))
       masks);
@@ -157,7 +168,7 @@ let lint_region_masks ~subject masks =
             let shared =
               List.find (fun i -> Bitvec.get b i) (Bitvec.to_indices a)
             in
-            f "region-overlap"
+            f "region-overlap" Dram
               (Printf.sprintf
                  "protection domains %s and %s both own DRAM region %d" la lb
                  shared))
@@ -170,11 +181,13 @@ let lint_region_masks ~subject masks =
 let lint_ledger ledger =
   let n = Region.region_count ledger in
   let findings = ref [] in
-  let f check message =
-    findings := { check; subject = "ledger"; message } :: !findings
+  let f check channel message =
+    findings :=
+      { check; subject = "ledger"; channel = Some channel; message }
+      :: !findings
   in
   if Region.owner ledger 0 <> Region.Monitor then
-    f "monitor-region"
+    f "monitor-region" Dram
       "region 0 is not held by the security monitor (Section 6.1 static \
        reservation)";
   let label = function
@@ -197,7 +210,7 @@ let lint_ledger ledger =
   let union = Bitvec.create n in
   List.iter (fun (_, bv) -> Bitvec.iter_set (Bitvec.set union) bv) owners;
   if Bitvec.popcount union <> n then
-    f "region-coverage"
+    f "region-coverage" Dram
       (Printf.sprintf "ownership masks cover %d of %d regions"
          (Bitvec.popcount union) n);
   (* Read sharing (Citadel relaxation): declared grants may widen access
@@ -208,7 +221,7 @@ let lint_ledger ledger =
   List.iter
     (fun r ->
       if r = 0 then
-        f "shared-monitor-region"
+        f "shared-monitor-region" Dram
           "region 0 (security-monitor memory) carries a read grant — \
            monitor state must never be shared")
     shared;
@@ -239,7 +252,7 @@ let lint_ledger ledger =
           List.iter
             (fun r ->
               if Bitvec.get bvb r && not (List.mem r shared) then
-                f "region-overlap"
+                f "region-overlap" Dram
                   (Printf.sprintf
                      "protection domains %s and %s both reach DRAM region %d \
                       outside any declared share"
@@ -257,52 +270,55 @@ let lint_ledger ledger =
 
 let lint_timing ?(geometry = Addr.default_regions) ~name (t : Config.timing) =
   let findings = ref [] in
-  let f check message = findings := { check; subject = name; message } :: !findings in
+  let f check channel message =
+    findings :=
+      { check; subject = name; channel = Some channel; message } :: !findings
+  in
   let core = t.Config.core and llc = t.Config.llc in
   let sec = t.Config.llc_security in
   (* Purge coverage. *)
   if not core.Core_config.flush_on_trap then
-    f "purge-on-trap"
+    f "purge-on-trap" Purge
       "core does not purge at protection-domain transitions (Section 6: \
        every per-core structure must be scrubbed on trap entry and return)";
   let req = required_purge_floor ~core ~l1:t.Config.l1 in
   if core.Core_config.purge_floor < req then
-    f "purge-floor"
+    f "purge-floor" Purge
       (Printf.sprintf
          "purge_floor %d is below the %d cycles the slowest per-core \
           structure needs at its flush rate (Section 7.1)"
          core.Core_config.purge_floor req);
   (* MSHR vs DRAM bandwidth (Section 5.1: #MSHR <= d_max / 2). *)
   if 2 * llc.Llc.mshrs > t.Config.dram_outstanding then
-    f "mshr-vs-dram"
+    f "mshr-vs-dram" Dram
       (Printf.sprintf
          "%d LLC MSHRs exceed d_max/2 = %d: the DRAM controller can be \
           backed up into a cross-domain timing channel (Section 5.1)"
          llc.Llc.mshrs
          (t.Config.dram_outstanding / 2));
   if llc.Llc.mshrs mod llc.Llc.mshr_banks <> 0 then
-    f "mshr-banking"
+    f "mshr-banking" Mshr
       (Printf.sprintf "%d MSHRs do not divide evenly into %d banks"
          llc.Llc.mshrs llc.Llc.mshr_banks);
   if sec.Llc.partitioned_mshrs && llc.Llc.mshrs mod llc.Llc.cores <> 0 then
-    f "mshr-partitioning"
+    f "mshr-partitioning" Mshr
       (Printf.sprintf
          "%d MSHRs cannot be statically partitioned among %d ports"
          llc.Llc.mshrs llc.Llc.cores);
   (* Figure 3 structural knobs. *)
-  let knob on check message = if not on then f check message in
-  knob sec.Llc.partitioned_mshrs "llc-mshr-sharing"
+  let knob on check channel message = if not on then f check channel message in
+  knob sec.Llc.partitioned_mshrs "llc-mshr-sharing" Mshr
     "MSHRs are dynamically shared: allocation contention leaks across \
      domains (Figure 3 partitions them statically)";
-  knob sec.Llc.round_robin_arbiter "llc-arbiter"
+  knob sec.Llc.round_robin_arbiter "llc-arbiter" Arbiter
     "input arbiter is a priority mux: grant timing depends on other \
      cores' traffic (Figure 3 uses a strict round-robin slot)";
-  knob sec.Llc.split_uq "llc-shared-uq"
+  knob sec.Llc.split_uq "llc-shared-uq" Uq_dq
     "shared UQ: head-of-line blocking crosses cores (Figure 3 gives each \
      core its own UQ)";
-  knob sec.Llc.per_partition_downgrade "llc-shared-downgrade"
+  knob sec.Llc.per_partition_downgrade "llc-shared-downgrade" Uq_dq
     "shared Downgrade-L1 scanner serializes downgrades across partitions";
-  knob sec.Llc.dq_retry "llc-dq-port"
+  knob sec.Llc.dq_retry "llc-dq-port" Uq_dq
     "replacement writeback+read holds the DQ port two cycles: timing \
      depends on other domains' replacements (Figure 3 re-enters via a \
      retry bit)";

@@ -22,12 +22,21 @@
       distinct protection domains must be pairwise disjoint and cover
       every region exactly once, with region 0 held by the monitor.
 
+    Every finding names the {!Channel.t} its failure leaves open: purge
+    checks the purge, MSHR checks the MSHRs, the arbiter and queue knobs
+    the arbiter and UQ/DQ, the partition check the set index, and
+    MSHR-vs-DRAM sizing and region ownership the DRAM path.  That is the
+    only place the repository decides which knob closes which channel.
+
     All entry points are pure: they inspect configuration values and
     never construct a simulator. *)
 
 type finding = {
   check : string;  (** stable check identifier, e.g. ["mshr-vs-dram"] *)
   subject : string;  (** what was linted, e.g. a config or witness name *)
+  channel : Channel.t option;
+      (** the channel a failing check leaves open, set where the check is
+          raised; {!Leak_infer.closes} reads closure from it *)
   message : string;
 }
 

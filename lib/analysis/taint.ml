@@ -47,7 +47,7 @@ let no_secret = { regs = []; ranges = [] }
 (* A register value: taint bit + a value set.  The two are independent:
    a tainted value can still be bounded (secrets enter with [vset = top],
    but [secret & 0xF8] is tainted {e and} confined to [0, 0xF8] — exactly
-   the shape a Spectre gadget address has, and what lets Channel resolve
+   the shape a Spectre gadget address has, and what lets Leak_infer resolve
    the access to concrete cache sets). *)
 type value = { taint : bool; vset : Vset.t }
 

@@ -6,7 +6,7 @@
     register carries a taint bit plus a {!Vset} value set — the two are
     independent, so a secret-{e dependent} address can still be
     statically {e bounded} ([base + (secret & 0xF8)] is tainted and
-    confined to an interval), which is what lets {!Channel} resolve a
+    confined to an interval), which is what lets {!Leak_infer} resolve a
     finding to concrete cache sets and DRAM regions.  Memory is tracked
     byte-precise for statically known addresses, with a sound
     conservative blur for stores through unknown pointers.  Exact

@@ -4,7 +4,7 @@
     secret-{e dependent} address can still be statically {e bounded}: a
     classic Spectre gadget computes [base + (secret & 0xF8)], whose value
     set is the interval [\[base, base+0xF8\]] even though the value is
-    tainted.  {!Channel} then resolves such a set to the cache lines, LLC
+    tainted.  {!Leak_infer} then resolves such a set to the cache lines, LLC
     sets, pages, and DRAM regions the access can touch — the difference
     between "this load leaks" and "this load leaks {e through these
     structures}".

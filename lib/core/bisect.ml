@@ -43,7 +43,7 @@ type slice = {
   s_oracle : string; (* "signature" or "activity" *)
   s_component : string; (* first diverging section label *)
   s_components : string list; (* all diverging section labels *)
-  s_audit_channels : string list; (* audit channels the component hosts *)
+  s_audit_channels : Channel.t list; (* audit channels the component hosts *)
   s_checkpoint_cycle : int; (* shared checkpoint the slice replayed from *)
   s_diffs : component_diff list;
   s_uops_a : string list;
@@ -70,9 +70,9 @@ let diverged r = match r.r_outcome with Diverged _ -> true | Clean _ -> false
    file, UQ/DQ and fill traffic, and (its section folds the controller)
    the DRAM command stream. *)
 let audit_channels_of_component name =
-  if name = "llc" then Audit.[ Arbiter; Mshr; Uq_dq; Cache; Dram ]
-  else if String.starts_with ~prefix:"l1" name then [ Audit.Cache ]
-  else if String.starts_with ~prefix:"core" name then Audit.[ Purge; Walk ]
+  if name = "llc" then Channel.[ Arbiter; Mshr; Uq_dq; Cache; Dram ]
+  else if String.starts_with ~prefix:"l1" name then [ Channel.Cache ]
+  else if String.starts_with ~prefix:"core" name then Channel.[ Purge; Walk ]
   else []
 
 let first_diff_excerpt a b =
@@ -205,8 +205,7 @@ let build_slice ls ~oracle ~cycle ~checkpoint_cycle ~components ~window
     s_oracle = oracle;
     s_component = first;
     s_components = components;
-    s_audit_channels =
-      List.map Audit.channel_name (audit_channels_of_component first);
+    s_audit_channels = audit_channels_of_component first;
     s_checkpoint_cycle = checkpoint_cycle;
     s_diffs = diffs;
     s_uops_a = in_flight ls.a;
@@ -407,7 +406,7 @@ let report_to_json r =
           ("oracle", Json.String s.s_oracle);
           ("component", Json.String s.s_component);
           ("components", strings s.s_components);
-          ("audit_channels", strings s.s_audit_channels);
+          ("audit_channels", Channel.to_json s.s_audit_channels);
           ("checkpoint_cycle", Json.Int s.s_checkpoint_cycle);
           ( "field_diff",
             Json.List
@@ -437,7 +436,8 @@ let pp_report fmt r =
     pr "  first divergence: cycle %d (%s oracle)@." s.s_cycle s.s_oracle;
     pr "  component: %s  (all: %s)@." s.s_component
       (String.concat ", " s.s_components);
-    pr "  audit channels: %s@." (String.concat ", " s.s_audit_channels);
+    pr "  audit channels: %s@."
+      (String.concat ", " (List.map Channel.name s.s_audit_channels));
     pr "  replayed from checkpoint at cycle %d@." s.s_checkpoint_cycle;
     List.iter
       (fun d ->

@@ -43,7 +43,7 @@ type slice = {
   s_oracle : string;  (** ["signature"] or ["activity"] *)
   s_component : string;  (** first diverging section label *)
   s_components : string list;
-  s_audit_channels : string list;
+  s_audit_channels : Channel.t list;
       (** audit channels hosted by [s_component] — cross-checkable
           against {!Mi6_obs.Audit} verdicts *)
   s_checkpoint_cycle : int;  (** checkpoint the slice replayed from *)
@@ -69,7 +69,7 @@ val diverged : report -> bool
     (["llc"], ["l1d.0"], ["core0"], …) — lets CI assert that the
     bisector's diverging component agrees with the auditor's leaking
     channel. *)
-val audit_channels_of_component : string -> Audit.channel list
+val audit_channels_of_component : string -> Channel.t list
 
 (** [run ~label_a ~label_b a b] — both machines must be fresh (cycle 0)
     and share a component shape (same core count).  [interval] is the

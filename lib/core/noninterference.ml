@@ -277,20 +277,6 @@ let victim_llc_events setup ~attacker =
   let events, drops, _dominant = victim_observation setup ~attacker in
   (events, drops)
 
-let victim_timeline setup ~attacker_floods =
-  let events, _drops, _dominant =
-    victim_observation setup
-      ~attacker:(if attacker_floods then A_flood else A_idle)
-  in
-  (* Rendered to stable strings, DRAM excluded: the historical
-     timeline-equality shape (PR 1's noninterference test). *)
-  List.filter_map
-    (fun (cycle, ev) ->
-      match Trace.category_of_event ev with
-      | Trace.Llc -> Some (Printf.sprintf "%d %s" cycle (Trace.event_label ev))
-      | _ -> None)
-    events
-
 let leaks observations =
   match observations with
   | [] -> false

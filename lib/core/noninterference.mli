@@ -68,11 +68,6 @@ val attacker_of_name : string -> attacker option
 val victim_llc_events :
   llc_setup -> attacker:attacker -> (int * Mi6_obs.Trace.event) list * int
 
-(** [victim_timeline setup ~attacker_floods] — the [A_flood]/[A_idle]
-    special case of {!victim_llc_events}, rendered to stable strings
-    (LLC events only). *)
-val victim_timeline : llc_setup -> attacker_floods:bool -> string list
-
 (** [leaks observations] — true when any two observations differ (the
     attacker can distinguish victim behaviours). *)
 val leaks : int list list -> bool

@@ -1,27 +1,3 @@
-type channel = Arbiter | Mshr | Uq_dq | Dram | Cache | Walk | Purge | Sample
-
-let all_channels = [ Arbiter; Mshr; Uq_dq; Dram; Cache; Walk; Purge; Sample ]
-
-let channel_name = function
-  | Arbiter -> "llc-arbiter"
-  | Mshr -> "llc-mshr"
-  | Uq_dq -> "llc-uq-dq"
-  | Dram -> "dram-cmd"
-  | Cache -> "cache-fill"
-  | Walk -> "page-walk"
-  | Purge -> "purge"
-  | Sample -> "sample"
-
-let channel_of_event = function
-  | Trace.Arb_grant _ | Trace.Arb_idle _ -> Arbiter
-  | Trace.Mshr_alloc _ | Trace.Mshr_free _ -> Mshr
-  | Trace.Uq_send _ | Trace.Dq_retry _ -> Uq_dq
-  | Trace.Dram_cmd _ -> Dram
-  | Trace.Cache_miss _ | Trace.Cache_fill _ -> Cache
-  | Trace.Walk_start _ | Trace.Walk_end _ -> Walk
-  | Trace.Purge_begin _ | Trace.Purge_phase _ | Trace.Purge_end _ -> Purge
-  | Trace.Counter _ -> Sample
-
 type divergence = {
   d_index : int;
   d_cycle_a : int option;
@@ -31,7 +7,7 @@ type divergence = {
 }
 
 type channel_verdict = {
-  v_channel : channel;
+  v_channel : Channel.t;
   v_events_a : int;
   v_events_b : int;
   v_first : divergence option;
@@ -89,7 +65,7 @@ let first_divergence a b =
 
 let diff ?(label_a = "a") ?(label_b = "b") a b =
   let channel_events ch evs =
-    List.filter (fun (_, e) -> channel_of_event e = ch) evs
+    List.filter (fun (_, e) -> Channel.of_event e = ch) evs
   in
   let channels =
     List.map
@@ -101,7 +77,7 @@ let diff ?(label_a = "a") ?(label_b = "b") a b =
           v_events_b = List.length eb;
           v_first = first_divergence ea eb;
         })
-      all_channels
+      Channel.traced
   in
   {
     r_label_a = label_a;
@@ -165,10 +141,10 @@ let pp_report ppf r =
         match v.v_first with
         | None ->
           Format.fprintf ppf "  %-12s ok (%d events)@."
-            (channel_name v.v_channel) v.v_events_a
+            (Channel.name v.v_channel) v.v_events_a
         | Some d ->
           Format.fprintf ppf "  %-12s DIVERGES at %a@."
-            (channel_name v.v_channel) pp_divergence d)
+            (Channel.name v.v_channel) pp_divergence d)
     r.r_channels
 
 let divergence_to_json d =
@@ -204,7 +180,7 @@ let report_to_json r =
              (fun v ->
                Json.Obj
                  [
-                   ("channel", Json.String (channel_name v.v_channel));
+                   ("channel", Json.String (Channel.name v.v_channel));
                    ("events_a", Json.Int v.v_events_a);
                    ("events_b", Json.Int v.v_events_b);
                    ("clean", Json.Bool (v.v_first = None));

@@ -5,19 +5,11 @@
     victim's cycle-stamped view of the shared memory system is
     bit-identical whatever a co-resident attacker does.  {!diff} takes
     the victim's event stream under two attacker behaviours and produces
-    a {!report}: the overall first-divergence point plus a per-channel
-    verdict (LLC arbiter, MSHR file, UQ/DQ queues, DRAM command bus,
-    cache fills, page walks), so a failing configuration names the
-    leaking structure rather than just "traces differ". *)
-
-(** The hardware structures an event stream is split into.  [Sample]
-    collects the periodic occupancy counters, which are diagnostics
-    rather than attacker-visible timing. *)
-type channel = Arbiter | Mshr | Uq_dq | Dram | Cache | Walk | Purge | Sample
-
-val all_channels : channel list
-val channel_name : channel -> string
-val channel_of_event : Trace.event -> channel
+    a {!report}: the overall first-divergence point plus a verdict for
+    every {!Channel.traced} channel (LLC arbiter, MSHR file, UQ/DQ
+    queues, DRAM command bus, cache fills, page walks, purges), so a
+    failing configuration names the leaking structure rather than just
+    "traces differ". *)
 
 (** A first point of disagreement between two aligned streams.
     [d_index] is the position in the compared (sub)stream; the cycle and
@@ -35,7 +27,7 @@ type divergence = {
 val eos : string
 
 type channel_verdict = {
-  v_channel : channel;
+  v_channel : Channel.t;
   v_events_a : int;
   v_events_b : int;
   v_first : divergence option;
@@ -65,10 +57,10 @@ val clean : report -> bool
 
 (** Channels that diverged, earliest first (by the cycle stamp of their
     first divergence). *)
-val leaking_channels : report -> channel list
+val leaking_channels : report -> Channel.t list
 
 (** The earliest-diverging channel, i.e. where the leak enters. *)
-val first_leaking_channel : report -> channel option
+val first_leaking_channel : report -> Channel.t option
 
 (** The earliest victim-visible cycle at which the streams disagree
     (also exported as [first_divergence_cycle] in the report JSON) —

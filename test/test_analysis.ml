@@ -14,7 +14,8 @@ open Mi6_core
 module Taint = Mi6_analysis.Taint
 module Lint = Mi6_analysis.Lint
 module Witness = Mi6_analysis.Witness
-module Channel = Mi6_analysis.Channel
+module Channel = Mi6_obs.Channel
+module Leak_infer = Mi6_analysis.Leak_infer
 module Vset = Mi6_analysis.Vset
 module Trace = Mi6_obs.Trace
 module Audit = Mi6_obs.Audit
@@ -118,16 +119,13 @@ let audit_localized ua ub =
       (Audit.diff ~label_a:"s=a" ~label_b:"s=b" (traced_events ua)
          (traced_events ub))
 
-(* Union of the statically inferred channels, projected onto the
-   Audit's vocabulary (the front-end Btb/Rsb channels have no dynamic
-   counterpart). *)
-let static_audit_channels ?shared ~secret prog =
+(* Union of the statically inferred channels. *)
+let static_channels ?shared ~secret prog =
   match Taint.analyze_program ~window:32 ?shared ~secret prog with
   | Error _ -> []
   | Ok fs ->
     List.sort_uniq compare
-      (List.filter_map Channel.to_audit
-         (List.concat_map (Channel.infer ~timing:base_timing) fs))
+      (List.concat_map (Leak_infer.infer ~timing:base_timing) fs)
 
 let localized_seen = ref 0
 
@@ -147,7 +145,7 @@ let prop_channel_agreement =
       if localized = [] then true
       else begin
         incr localized_seen;
-        let static = static_audit_channels ~secret prog in
+        let static = static_channels ~secret prog in
         match
           List.find_opt (fun ch -> not (List.mem ch static)) localized
         with
@@ -156,8 +154,8 @@ let prop_channel_agreement =
           QCheck.Test.fail_reportf
             "the audit localizes the leak to %s but the static channel set \
              is [%s]:\n%s"
-            (Audit.channel_name ch)
-            (String.concat ", " (List.map Audit.channel_name static))
+            (Channel.name ch)
+            (String.concat ", " (List.map Channel.name static))
             (Gen_programs.print_ops ops)
       end)
 
@@ -189,12 +187,12 @@ let test_witness_channel_agreement () =
         | None -> ()
         | Some ch ->
           let static =
-            static_audit_channels ~shared:w.Witness.shared
+            static_channels ~shared:w.Witness.shared
               ~secret:w.Witness.secret (Witness.program w)
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s: audited channel %s statically inferred"
-               w.Witness.name (Audit.channel_name ch))
+               w.Witness.name (Channel.name ch))
             true (List.mem ch static)))
     Witness.all
 
@@ -279,7 +277,7 @@ let test_rsb_underflow_channel () =
     fs;
   Alcotest.(check bool) "lowering names the rsb channel" true
     (List.mem Channel.Rsb
-       (List.concat_map (Channel.infer ~timing:base_timing) fs))
+       (List.concat_map (Leak_infer.infer ~timing:base_timing) fs))
 
 (* Shared-region discipline: reads of declared read-shared memory are
    fine until the address is secret-tainted; writes are never fine. *)
@@ -474,16 +472,17 @@ let test_lint_secure_clean () =
    at every core count the evaluation uses. *)
 let test_closure_table () =
   let table =
-    [
-      ("BASE", []);
-      ("ARB", []);
-      ("NONSPEC", []);
-      ("FLUSH", [ "purge"; "btb"; "rsb" ]);
-      ("PART", [ "cache-fill" ]);
-      ("MISS", [ "dram-cmd" ]);
-      ("F+P+M+A", [ "dram-cmd"; "cache-fill"; "page-walk"; "purge"; "btb"; "rsb" ]);
-      ("mi6", List.map Channel.name Channel.all);
-    ]
+    Channel.
+      [
+        ("BASE", []);
+        ("ARB", []);
+        ("NONSPEC", []);
+        ("FLUSH", [ Purge; Btb; Rsb ]);
+        ("PART", [ Cache ]);
+        ("MISS", [ Dram ]);
+        ("F+P+M+A", [ Dram; Cache; Walk; Purge; Btb; Rsb ]);
+        ("mi6", inferable);
+      ]
   in
   List.iter
     (fun (name, expected) ->
@@ -494,13 +493,14 @@ let test_closure_table () =
             | Some v -> Config.timing ~cores v
             | None -> Config.secure_multicore ~cores
           in
+          let lint = Lint.lint_timing ~name timing in
           let closed =
-            List.filter (fun ch -> Channel.closes ~timing ch) Channel.all
+            List.filter (Leak_infer.closes ~lint) Channel.inferable
           in
           Alcotest.(check (list string))
             (Printf.sprintf "%s closes at %d cores" name cores)
-            (List.sort compare expected)
-            (List.sort compare (List.map Channel.name closed)))
+            (List.map Channel.name (List.sort compare expected))
+            (List.map Channel.name closed))
         [ 1; 2; 4 ])
     table
 
@@ -705,13 +705,10 @@ let test_bisect_spectre_variant_pair_matches_audit () =
   match r.Bisect.r_outcome with
   | Bisect.Clean _ -> Alcotest.fail "BASE vs F+P+M+A must diverge"
   | Bisect.Diverged s ->
-    let channels =
-      List.map Mi6_obs.Audit.channel_name
-        (Bisect.audit_channels_of_component s.Bisect.s_component)
-    in
     Alcotest.(check bool)
       "diverging component hosts the audited llc-arbiter channel" true
-      (List.mem "llc-arbiter" channels)
+      (List.mem Channel.Arbiter
+         (Bisect.audit_channels_of_component s.Bisect.s_component))
 
 (* ------------------------------------------------------------------ *)
 

@@ -385,7 +385,7 @@ let test_audit_identical_streams_clean () =
   List.iter
     (fun v ->
       check_int
-        (Audit.channel_name v.Audit.v_channel)
+        (Channel.name v.Audit.v_channel)
         v.Audit.v_events_a v.Audit.v_events_b)
     r.Audit.r_channels
 
@@ -407,13 +407,13 @@ let test_audit_localizes_divergence () =
     Alcotest.(check (option int)) "cycle b" (Some 6) d.Audit.d_cycle_b
   | None -> Alcotest.fail "no overall divergence");
   (match Audit.leaking_channels r with
-  | [ Audit.Dram ] -> ()
+  | [ Channel.Dram ] -> ()
   | chs ->
     Alcotest.fail
       (Printf.sprintf "blamed %d channels, wanted exactly dram-cmd"
          (List.length chs)));
   check_bool "first leaking channel" true
-    (Audit.first_leaking_channel r = Some Audit.Dram)
+    (Audit.first_leaking_channel r = Some Channel.Dram)
 
 let test_audit_length_mismatch () =
   (* A truncated stream diverges at the end-of-stream marker. *)
