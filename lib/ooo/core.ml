@@ -302,7 +302,7 @@ let translate_d t ~addr ~k =
           (* Hardware walk; waits for a walker slot if both are busy. *)
           let rec start_walk () =
             if Ptw.can_start t.ptw then
-              Ptw.start t.ptw ~vpage ~on_done:(fun ~reads:_ ->
+              Ptw.start ~now:t.now t.ptw ~vpage ~on_done:(fun ~reads:_ ->
                   Tlb.insert t.l2tlb ~vpage;
                   Tlb.insert t.dtlb ~vpage;
                   t.dtlb_outstanding <- t.dtlb_outstanding - 1;
@@ -364,7 +364,7 @@ let fetch_mem_ok t (u : Uop.t) =
           else begin
             let rec start_walk () =
               if Ptw.can_start t.ptw then
-                Ptw.start t.ptw ~vpage:page ~on_done:(fun ~reads:_ ->
+                Ptw.start ~now:t.now t.ptw ~vpage:page ~on_done:(fun ~reads:_ ->
                     Tlb.insert t.l2tlb ~vpage:page;
                     Tlb.insert t.itlb ~vpage:page;
                     t.fetch_wait_itlb <- false)

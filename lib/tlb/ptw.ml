@@ -54,7 +54,7 @@ let pte_line t ~level ~vpage =
   (* 8 PTEs per 64-byte line. *)
   t.pt_base_line + ((2 - level) * t.window) + (p / 8 mod t.window)
 
-let start ?(now = 0) t ~vpage ~on_done =
+let start ~now t ~vpage ~on_done =
   if not (can_start t) then failwith "Ptw.start: no free walk slot";
   if Trace.active t.trace Trace.Ptw then
     Trace.emit t.trace ~now (Trace.Walk_start { core = t.core; vpage });
@@ -98,7 +98,7 @@ let tick t ~issue =
       | _ -> ())
     t.slots
 
-let mem_response ?(now = 0) t ~id =
+let mem_response ~now t ~id =
   let slot = id land lnot id_tag in
   match t.slots.(slot) with
   | None -> failwith "Ptw.mem_response: no walk in slot"

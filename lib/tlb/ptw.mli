@@ -31,18 +31,18 @@ val create :
 val can_start : t -> bool
 val active_walks : t -> int
 
-(** [start ?now t ~vpage ~on_done] begins a walk; [on_done ~reads] fires
-    when it finishes.  [now] stamps the walk for the latency histogram and
-    trace (observability only; default 0).  Raises if [can_start] is
-    false. *)
-val start : ?now:int -> t -> vpage:int -> on_done:(reads:int -> unit) -> unit
+(** [start ~now t ~vpage ~on_done] begins a walk at cycle [now];
+    [on_done ~reads] fires when it finishes.  [now] stamps the walk for
+    the latency histogram and trace (observability only).  Raises if
+    [can_start] is false. *)
+val start : now:int -> t -> vpage:int -> on_done:(reads:int -> unit) -> unit
 
 (** [tick t ~issue] gives the walker one cycle; it calls
     [issue ~line ~id] at most once ([issue] returns acceptance). *)
 val tick : t -> issue:(line:int -> id:int -> bool) -> unit
 
-(** [mem_response ?now t ~id] — a PTE read completed. *)
-val mem_response : ?now:int -> t -> id:int -> unit
+(** [mem_response ~now t ~id] — a PTE read completed at cycle [now]. *)
+val mem_response : now:int -> t -> id:int -> unit
 
 (** Walk start-to-finish latency distribution, in cycles. *)
 val walk_latency : t -> Histogram.t

@@ -629,6 +629,29 @@ let test_cpi_stack_sums_to_cycles () =
     [ Config.Base; Config.Flush; Config.Part; Config.Miss; Config.Arb;
       Config.Fpma ]
 
+(* Walk latencies are durations: the walker has 2 slots, so at most two
+   walks are in flight on any cycle and their latencies sum to at most
+   twice the cycles run. *)
+let test_walk_latency_bounded () =
+  let m =
+    Tmachine.create
+      (Config.timing ~cores:1 Config.Base)
+      ~streams:
+        [|
+          Tmachine.spec_stream ~seed:0 ~core:0 ~bench:Mi6_workload.Spec.Mcf
+            ~limit:20_000 ();
+        |]
+      ~stats:(Mi6_util.Stats.create ())
+  in
+  ignore (Tmachine.run m ~max_cycles:1_000_000);
+  let h = Mi6_ooo.Core.walk_latency (Tmachine.core m 0) in
+  check_bool "mcf walks the page table" true (Mi6_obs.Histogram.count h > 0);
+  check_bool
+    (Printf.sprintf "walk latencies sum to %d over %d cycles"
+       (Mi6_obs.Histogram.sum h) (Tmachine.now m))
+    true
+    (Mi6_obs.Histogram.sum h <= 2 * Tmachine.now m)
+
 (* The quiet-cycle detector compares one Statesig hash per cycle; the
    oracle byte-compares the full labelled structure dump between
    consecutive cycles.  Both views derive from the same per-component
@@ -1003,6 +1026,8 @@ let () =
             test_run_multi_completes;
           Alcotest.test_case "cpi stack sums to cycles" `Quick
             test_cpi_stack_sums_to_cycles;
+          Alcotest.test_case "walk latency bounded by walker slots" `Quick
+            test_walk_latency_bounded;
           Alcotest.test_case "sharing not faster" `Quick
             test_multi_slower_than_solo;
           Alcotest.test_case "concurrent enclaves" `Quick

@@ -75,11 +75,11 @@ let test_trans_cache () =
 (* Walker driven against an always-accepting 1-cycle memory. *)
 let run_walk ?(accept = fun ~line:_ -> true) ptw ~vpage =
   let result = ref None in
-  Ptw.start ptw ~vpage ~on_done:(fun ~reads -> result := Some reads);
+  Ptw.start ~now:0 ptw ~vpage ~on_done:(fun ~reads -> result := Some reads);
   let pending = Queue.create () in
-  let budget = ref 100 in
-  while !result = None && !budget > 0 do
-    decr budget;
+  let now = ref 0 in
+  while !result = None && !now < 100 do
+    incr now;
     Ptw.tick ptw ~issue:(fun ~line ~id ->
         if accept ~line then begin
           Queue.add id pending;
@@ -88,7 +88,7 @@ let run_walk ?(accept = fun ~line:_ -> true) ptw ~vpage =
         else false);
     (* Respond to one outstanding read per cycle. *)
     if not (Queue.is_empty pending) then
-      Ptw.mem_response ptw ~id:(Queue.pop pending)
+      Ptw.mem_response ~now:!now ptw ~id:(Queue.pop pending)
   done;
   match !result with
   | Some reads -> reads
@@ -134,16 +134,18 @@ let test_ptw_backpressure_retries () =
 let test_ptw_concurrent_walks () =
   let ptw, _ = make_ptw () in
   let done1 = ref None and done2 = ref None in
-  Ptw.start ptw ~vpage:0x1000 ~on_done:(fun ~reads -> done1 := Some reads);
-  Ptw.start ptw ~vpage:0x2000000 ~on_done:(fun ~reads -> done2 := Some reads);
+  Ptw.start ~now:0 ptw ~vpage:0x1000 ~on_done:(fun ~reads -> done1 := Some reads);
+  Ptw.start ~now:0 ptw ~vpage:0x2000000 ~on_done:(fun ~reads ->
+      done2 := Some reads);
   check_bool "slots exhausted" false (Ptw.can_start ptw);
   check_int "two active" 2 (Ptw.active_walks ptw);
   let pending = Queue.create () in
-  for _ = 1 to 50 do
+  for now = 1 to 50 do
     Ptw.tick ptw ~issue:(fun ~line:_ ~id ->
         Queue.add id pending;
         true);
-    if not (Queue.is_empty pending) then Ptw.mem_response ptw ~id:(Queue.pop pending)
+    if not (Queue.is_empty pending) then
+      Ptw.mem_response ~now ptw ~id:(Queue.pop pending)
   done;
   check_bool "walk 1 done" true (!done1 = Some 3);
   check_bool "walk 2 done" true (!done2 = Some 3);
