@@ -151,9 +151,10 @@ lint:
 #   - the full witness corpus under --channels must produce a report
 #     that validates against json_check --lint (every speculative
 #     finding names a channel) and is byte-identical across two runs;
-#   - the BASE machine must be flagged with each config finding mapped
-#     to the channel it leaves open, the MI6 machine must lint clean
-#     over the same shared-region demo ledger;
+#   - every insecure variant (base, flush, part, miss, arb, nonspec,
+#     f+p+m+a) must be flagged, with a validating report that maps each
+#     config finding to the channel it leaves open; the MI6 machine must
+#     lint clean over the same shared-region demo ledger;
 #   - every committed hex example must get its expected verdict with
 #     channel lowering on (ct_* clean, everything else flagged).
 lint-channels:
@@ -164,12 +165,18 @@ lint-channels:
 		--channels --json lint-channels-2.json; test $$? -eq 1'
 	cmp lint-channels.json lint-channels-2.json
 	dune exec bench/json_check.exe -- --lint lint-channels.json
-	sh -c 'dune exec bin/mi6_sim.exe -- lint --machine base --channels \
-		--json lint-channels-base.json; test $$? -eq 1'
+	for v in base flush part miss arb nonspec f+p+m+a; do \
+		dune exec bin/mi6_sim.exe -- lint --machine $$v --channels \
+			--json lint-channels-$$v.json; got=$$?; \
+		if [ $$got -ne 1 ]; then \
+			echo "lint-channels: machine $$v exited $$got, expected 1"; exit 1; \
+		fi; \
+		dune exec bench/json_check.exe -- --lint lint-channels-$$v.json \
+			|| exit 1; \
+	done
 	dune exec bin/mi6_sim.exe -- lint --machine mi6 --channels \
 		--json lint-channels-mi6.json
-	dune exec bench/json_check.exe -- --lint lint-channels-base.json \
-		--lint lint-channels-mi6.json
+	dune exec bench/json_check.exe -- --lint lint-channels-mi6.json
 	for f in examples/lint/*.hex; do \
 		case $$f in examples/lint/ct_*) want=0 ;; *) want=1 ;; esac; \
 		dune exec bin/mi6_sim.exe -- lint --hex $$f --speculative 32 \
@@ -188,8 +195,7 @@ clean:
 	dune clean
 	rm -f BENCH_run.json audit.json sweep-serial.json sweep-parallel.json \
 		lint-mi6.json lint-base.json lint-witnesses.json \
-		lint-channels.json lint-channels-2.json lint-channels-base.json \
-		lint-channels-mi6.json examples/lint/*-channels.json \
+		lint-channels*.json examples/lint/*-channels.json \
 		bisect.json bisect-secret.json BISECT_history.jsonl \
 		ni-fpma.json ni-base.json ni-base-j2.json \
 		telemetry.jsonl tel-serial\#* tel-parallel\#*

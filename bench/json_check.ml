@@ -23,12 +23,14 @@
    must be among the channels the bisector's diverging component hosts.
    --ni files must follow the mi6.ni/1 noninterference-report schema:
    every schedule string replayable through the real parser, every
-   falsified result localized to a known audit channel.
+   falsified result localized to a channel the audit traces
+   (Channel.traced).
    --lint files must follow the mi6.lint/2 static channel-inference
-   schema: kinds and channel names from the analyzer's vocabulary,
-   clean flags consistent with findings, and — when the report was
-   produced with --channels — every speculative program finding naming
-   at least one channel it can leak through.
+   schema: kinds from the analyzer's vocabulary, channel names from
+   those inference can name (Channel.inferable), clean flags consistent
+   with findings, and — when the report was produced with --channels —
+   every speculative program finding naming at least one channel it can
+   leak through.
    Exit 0 iff everything passes. *)
 
 open Mi6_obs

@@ -5,6 +5,15 @@ type finding = {
   message : string;
 }
 
+(* A finding accumulator for [subject]: [f check channel message] raises
+   one finding, [found ()] returns them in raise order. *)
+let collector subject =
+  let findings = ref [] in
+  let f check channel message =
+    findings := { check; subject; channel = Some channel; message } :: !findings
+  in
+  (f, fun () -> List.rev !findings)
+
 type coverage = Drained | Flushed of { entries : int; rate : int }
 
 type structure = { s_name : string; s_coverage : coverage }
@@ -93,19 +102,14 @@ let region_usage ~geometry idx r =
 let lint_partitions ~geometry ~name idx =
   let n = geometry.Addr.region_count in
   let usages = Array.init n (region_usage ~geometry idx) in
-  let findings = ref [] in
-  let f message =
-    findings :=
-      { check = "llc-partition"; subject = name; channel = Some Cache; message }
-      :: !findings
-  in
+  let f, found = collector name in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       if
         (not (Bitvec.equal usages.(i) usages.(j)))
         && not (Bitvec.disjoint usages.(i) usages.(j))
       then
-        f
+        f "llc-partition" Cache
           (Printf.sprintf
              "DRAM regions %d and %d share some but not all LLC sets — the \
               index function is not a partition"
@@ -120,7 +124,7 @@ let lint_partitions ~geometry ~name idx =
          []
   in
   if List.length classes < 2 then
-    f
+    f "llc-partition" Cache
       (Printf.sprintf
          "a single set-partition class: every DRAM region can evict every \
           LLC set (flat index, Section 7.2 violated)")
@@ -130,23 +134,20 @@ let lint_partitions ~geometry ~name idx =
     in
     let sets = Index.sets idx in
     if covered <> sets then
-      f
+      f "llc-partition" Cache
         (Printf.sprintf
            "partition classes cover %d sets of %d — the classes do not tile \
             the cache"
            covered sets)
   end;
-  List.rev !findings
+  found ()
 
 (* ------------------------------------------------------------------ *)
 (* Region permission masks (Section 6.1)                               *)
 (* ------------------------------------------------------------------ *)
 
 let lint_region_masks ~subject masks =
-  let findings = ref [] in
-  let f check channel message =
-    findings := { check; subject; channel = Some channel; message } :: !findings
-  in
+  let f, found = collector subject in
   (match masks with
   | [] | [ _ ] -> ()
   | (_, first) :: _ ->
@@ -176,16 +177,11 @@ let lint_region_masks ~subject masks =
       pairs rest
   in
   pairs masks;
-  List.rev !findings
+  found ()
 
 let lint_ledger ledger =
   let n = Region.region_count ledger in
-  let findings = ref [] in
-  let f check channel message =
-    findings :=
-      { check; subject = "ledger"; channel = Some channel; message }
-      :: !findings
-  in
+  let f, found = collector "ledger" in
   if Region.owner ledger 0 <> Region.Monitor then
     f "monitor-region" Dram
       "region 0 is not held by the security monitor (Section 6.1 static \
@@ -262,18 +258,14 @@ let lint_ledger ledger =
       pairs rest
   in
   pairs domains;
-  List.rev !findings @ lint_region_masks ~subject:"ledger" owners
+  found () @ lint_region_masks ~subject:"ledger" owners
 
 (* ------------------------------------------------------------------ *)
 (* Whole machine configurations                                        *)
 (* ------------------------------------------------------------------ *)
 
 let lint_timing ?(geometry = Addr.default_regions) ~name (t : Config.timing) =
-  let findings = ref [] in
-  let f check channel message =
-    findings :=
-      { check; subject = name; channel = Some channel; message } :: !findings
-  in
+  let f, found = collector name in
   let core = t.Config.core and llc = t.Config.llc in
   let sec = t.Config.llc_security in
   (* Purge coverage. *)
@@ -322,7 +314,7 @@ let lint_timing ?(geometry = Addr.default_regions) ~name (t : Config.timing) =
     "replacement writeback+read holds the DQ port two cycles: timing \
      depends on other domains' replacements (Figure 3 re-enters via a \
      retry bit)";
-  List.rev !findings @ lint_partitions ~geometry ~name llc.Llc.index
+  found () @ lint_partitions ~geometry ~name llc.Llc.index
 
 (* ------------------------------------------------------------------ *)
 

@@ -81,4 +81,7 @@ val lint_region_masks :
 val lint_ledger : Region.t -> finding list
 
 val pp_finding : Format.formatter -> finding -> unit
+
+(** [check], [subject] and [message]; [lint --channels] appends the
+    [channel]. *)
 val finding_to_json : finding -> Json.t
