@@ -7,8 +7,15 @@ all: build
 build:
 	dune build @all
 
+# The channel-agreement property also runs under two qcheck seeds that
+# once found a static/dynamic disagreement, so a regression shows up
+# whatever seed `dune runtest` draws.
 test:
 	dune runtest
+	for s in 1018 448712569; do \
+		QCHECK_SEED=$$s dune exec test/test_analysis.exe -- test channel-agreement \
+			|| { echo "channel-agreement failed under QCHECK_SEED=$$s"; exit 1; }; \
+	done
 
 # Reference-equality gate on the host-speed benchmark: a short run of
 # spec-cpu and of ni-sched must reproduce every recorded simulated value

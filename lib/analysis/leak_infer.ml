@@ -13,7 +13,6 @@ let shift_of bytes =
   go 0 bytes
 
 let line_shift = shift_of Addr.line_bytes
-let page_shift = shift_of Addr.page_bytes
 
 (* Can the finding's address set reach >= 2 units of [shift] granularity?
    No target set (branch/div findings) or an unbounded one counts as
@@ -32,11 +31,14 @@ let is_ret (i : Instr.t) =
   | _ -> false
 
 let infer ~(timing : Config.timing) (f : Taint.finding) =
-  let walk = if multi_unit f page_shift then [ Walk ] else [] in
+  (* An access spread over lines shifts core-internal timing even within
+     one page, and shifted timing moves a later page walk. *)
+  let lines = multi_unit f line_shift in
+  let walk = if lines then [ Walk ] else [] in
   let base =
     match f.Taint.kind with
     | Taint.Load_address | Taint.Store_address ->
-      (if multi_unit f line_shift then mem_side else []) @ walk
+      (if lines then mem_side else []) @ walk
     | Taint.Shared_write | Taint.Shared_read ->
       (* A shared-region access contends with the other enclave's own
          accesses even at a single public line. *)

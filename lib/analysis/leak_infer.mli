@@ -5,8 +5,10 @@
     {!infer} answers "through which hardware structures {e can} this
     finding leak", resolving the finding's address value set against the
     machine's geometry: an access confined to a single cache line cannot
-    signal through the set index, one confined to a single page cannot
-    signal through the walker.  {!closes} answers "does {e this}
+    signal through the set index or the walker.  One that spans lines
+    names the walker even within a single page: the secret shifts
+    core-internal timing, and that moves a later page walk.  {!closes}
+    answers "does {e this}
     configuration close that channel" from the configuration's
     {!Lint.lint_timing} findings, so the linter is the one place that
     maps knobs to channels.  {!open_channels} combines the two (a

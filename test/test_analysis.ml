@@ -166,6 +166,48 @@ let test_agreement_nonvacuous () =
     true
     (!localized_seen >= 10)
 
+(* A program the agreement property once shrank to: the secret (a3)
+   indexes loads within one page, so only core-internal timing depends
+   on it, yet that shifts a later page walk by a cycle and the audit
+   localizes the leak to the walker. *)
+let walk_shift_ops =
+  let open Gen_programs in
+  [
+    Idx_load (10, 7);
+    St_op (Instr.Sb, 5, 264);
+    Idx_load (5, secret_reg);
+    Alui (Instr.Or, 5, secret_reg, -180);
+    Li_op (8, 8216);
+    Alu3 (Instr.Add, 6, 8, 8);
+    Idx_load (7, secret_reg);
+    Ld_op (Instr.Lw, 9, 1000);
+    Ld_op (Instr.Lw, 6, 796);
+    St_op (Instr.Sw, 11, 100);
+    Alu3 (Instr.And, 10, 31, 7);
+    St_op (Instr.Sb, secret_reg, 3);
+    Ld_op (Instr.Ld, 6, 776);
+    Alu3 (Instr.Sltu, 8, 5, 10);
+  ]
+
+let test_walk_shift_agreement () =
+  let prog = assemble_ops walk_shift_ops in
+  let static = static_channels ~secret prog in
+  let localized =
+    List.filter_map
+      (fun (a, b) ->
+        audit_localized (committed_uops prog a) (committed_uops prog b))
+      secret_pairs
+  in
+  Alcotest.(check bool) "the audit blames the page walker" true
+    (List.mem Channel.Walk localized);
+  List.iter
+    (fun ch ->
+      Alcotest.(check bool)
+        (Printf.sprintf "audited channel %s statically inferred"
+           (Channel.name ch))
+        true (List.mem ch static))
+    localized
+
 (* The same agreement over the curated corpus: every witness whose
    secret pair the audit can localize must be statically explained. *)
 let test_witness_channel_agreement () =
@@ -728,6 +770,8 @@ let () =
         @ [
             Alcotest.test_case "property saw localized leaks" `Quick
               test_agreement_nonvacuous;
+            Alcotest.test_case "walk shifted by in-page timing" `Quick
+              test_walk_shift_agreement;
             Alcotest.test_case "witness corpus agrees with the audit" `Quick
               test_witness_channel_agreement;
           ] );
