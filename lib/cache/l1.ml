@@ -22,7 +22,8 @@ type mshr = {
   mutable m_waiters : int list; (* request ids, completion order *)
 }
 
-type pending = { p_line : int; p_store : bool; p_id : int }
+(* Depth of the request input queue. *)
+let input_depth = 4
 
 type t = {
   cfg : config;
@@ -40,9 +41,14 @@ type t = {
   trace : Trace.t;
   miss_lat : Histogram.t; (* demand-miss request-to-fill latency *)
   name : string;
-  input : pending Fifo.t;
+  (* Input queue and pending completions as parallel int rings, so a
+     hit allocates nothing. *)
+  in_line : Iring.t;
+  in_store : Iring.t; (* 1 = store *)
+  in_id : Iring.t;
   mshrs : mshr option array;
-  completions : (int * int) Queue.t; (* id, ready_at *)
+  comp_id : Iring.t;
+  comp_ready : Iring.t;
   mutable flushing : bool;
   mutable flush_cursor : int; (* line index being flushed: set * ways + way *)
 }
@@ -65,20 +71,29 @@ let create ?(trace = Trace.null) cfg ~link ~stats ~name =
     trace;
     miss_lat = Histogram.create ();
     name;
-    input = Fifo.create ~capacity:4;
+    in_line = Iring.create ~capacity:input_depth;
+    in_store = Iring.create ~capacity:input_depth;
+    in_id = Iring.create ~capacity:input_depth;
     mshrs = Array.make cfg.mshrs None;
-    completions = Queue.create ();
+    comp_id = Iring.create ~capacity:16;
+    comp_ready = Iring.create ~capacity:16;
     flushing = false;
     flush_cursor = 0;
   }
 
 let config t = t.cfg
-let can_accept t = Fifo.can_enq t.input && not t.flushing
+let can_accept t = Iring.length t.in_id < input_depth && not t.flushing
 
 let request t ~line ~store ~id =
   if not (can_accept t) then failwith "L1.request: not ready";
   Stats.bump t.c_accesses;
-  Fifo.enq t.input { p_line = line; p_store = store; p_id = id }
+  Iring.push t.in_line line;
+  Iring.push t.in_store (Bool.to_int store);
+  Iring.push t.in_id id
+
+let complete_at t id ready =
+  Iring.push t.comp_id id;
+  Iring.push t.comp_ready ready
 
 (* L1s always use the flat (low-bits) index; sets is a power of two. *)
 let set_of t line = line land (t.cfg.sets - 1)
@@ -101,9 +116,9 @@ let find_mshr t line =
   go 0
 
 let in_flight t =
-  Fifo.length t.input
+  Iring.length t.in_id
   + Array.fold_left (fun n m -> n + match m with Some _ -> 1 | None -> 0) 0 t.mshrs
-  + Queue.length t.completions
+  + Iring.length t.comp_id
 
 (* A way already reserved as the fill target of an in-flight miss must not
    be picked by another miss in the same set. *)
@@ -116,21 +131,21 @@ let way_reserved t set way =
 
 let probe t ~line =
   let set = set_of t line in
-  match Sram.find t.array ~set ~tag:line with
-  | Some (_, m) -> m.state
-  | None -> Msi.I
+  match Sram.find_way t.array ~set ~tag:line with
+  | -1 -> Msi.I
+  | way -> (Sram.meta t.array ~set ~way).state
 
 let try_hit t ~line =
   if t.flushing then false
   else begin
     let set = set_of t line in
-    match Sram.find t.array ~set ~tag:line with
-    | Some (way, _) ->
+    match Sram.find_way t.array ~set ~tag:line with
+    | -1 -> false
+    | way ->
       Stats.bump t.c_accesses;
       Stats.bump t.c_hits;
       Replacement.touch t.repl ~set ~way;
       true
-    | None -> false
   end
 
 (* Handle one parent->child message if present.  Returns unit; leaves the
@@ -151,7 +166,7 @@ let process_parent t ~now =
       if Trace.active t.trace Trace.L1 then
         Trace.emit t.trace ~now (Trace.Cache_fill { cache = t.name; line });
       List.iter
-        (fun id -> Queue.add (id, now + t.cfg.hit_latency) t.completions)
+        (fun id -> complete_at t id (now + t.cfg.hit_latency))
         (List.rev m.m_waiters);
       t.mshrs.(idx) <- None)
   | Some (Msg.Downgrade_req { line; to_s }) ->
@@ -176,7 +191,7 @@ let process_parent t ~now =
 let try_prefetch t ~now line =
   let set = set_of t line in
   if
-    Sram.find t.array ~set ~tag:line = None
+    Sram.find_way t.array ~set ~tag:line < 0
     && find_mshr t line = None
     && Fifo.can_enq t.link.Link.rq
   then begin
@@ -185,7 +200,8 @@ let try_prefetch t ~now line =
     | Some idx -> (
       let rec find_way w =
         if w >= t.cfg.ways then None
-        else if Sram.read t.array ~set ~way:w = None && not (way_reserved t set w)
+        else if
+          (not (Sram.is_valid t.array ~set ~way:w)) && not (way_reserved t set w)
         then Some w
         else find_way (w + 1)
       in
@@ -201,25 +217,32 @@ let try_prefetch t ~now line =
         Fifo.enq t.link.Link.rq { Msg.line; from_s = Msi.I; to_s = Msi.S })
   end
 
+let deq_input t =
+  ignore (Iring.pop t.in_line);
+  ignore (Iring.pop t.in_store);
+  ignore (Iring.pop t.in_id)
+
 (* Try to start the request at the head of the input queue. *)
 let process_input t ~now =
-  match Fifo.peek_opt t.input with
-  | None -> ()
-  | Some { p_line = line; p_store = store; p_id = id } -> (
+  if not (Iring.is_empty t.in_id) then begin
+    let line = Iring.peek t.in_line in
+    let id = Iring.peek t.in_id in
     let set = set_of t line in
-    let needed = Msi.needed_for ~store in
-    match Sram.find t.array ~set ~tag:line with
-    | Some (way, m) when Msi.leq needed m.state ->
+    let needed = Msi.needed_for ~store:(Iring.peek t.in_store = 1) in
+    let present = Sram.find_way t.array ~set ~tag:line in
+    if present >= 0 && Msi.leq needed (Sram.meta t.array ~set ~way:present).state
+    then begin
       (* Hit. *)
-      ignore (Fifo.deq t.input);
+      deq_input t;
       Stats.bump t.c_hits;
-      Replacement.touch t.repl ~set ~way;
-      Queue.add (id, now + t.cfg.hit_latency) t.completions
-    | present -> (
+      Replacement.touch t.repl ~set ~way:present;
+      complete_at t id (now + t.cfg.hit_latency)
+    end
+    else begin
       (* Miss or upgrade. *)
       match find_mshr t line with
       | Some (_, m) when Msi.leq needed m.m_to ->
-        ignore (Fifo.deq t.input);
+        deq_input t;
         Stats.bump t.c_mshr_merges;
         m.m_waiters <- id :: m.m_waiters
       | Some _ ->
@@ -232,15 +255,16 @@ let process_input t ~now =
         | Some idx ->
           if Fifo.can_enq t.link.Link.rq then begin
             let from_s, way_opt =
-              match present with
-              | Some (way, m) -> (m.state, Some way) (* S->M upgrade in place *)
-              | None -> (Msi.I, None)
+              if present >= 0 then
+                (* S->M upgrade in place *)
+                ((Sram.meta t.array ~set ~way:present).state, Some present)
+              else (Msi.I, None)
             in
             let find_unreserved_invalid () =
               let rec go w =
                 if w >= t.cfg.ways then None
                 else if
-                  Sram.read t.array ~set ~way:w = None
+                  (not (Sram.is_valid t.array ~set ~way:w))
                   && not (way_reserved t set w)
                 then Some w
                 else go (w + 1)
@@ -286,7 +310,7 @@ let process_input t ~now =
                     else (0, false)))
             in
             if ok then begin
-              ignore (Fifo.deq t.input);
+              deq_input t;
               Stats.bump t.c_misses;
               if Trace.active t.trace Trace.L1 then
                 Trace.emit t.trace ~now
@@ -304,14 +328,15 @@ let process_input t ~now =
               Fifo.enq t.link.Link.rq { Msg.line; from_s; to_s = needed };
               if t.cfg.prefetch_next_line then try_prefetch t ~now (line + 1)
             end
-          end)))
+          end)
+    end
+  end
 
 let rec deliver_completions t ~now ~complete =
-  if not (Queue.is_empty t.completions) then begin
-    let id, ready = Queue.peek t.completions in
-    if ready <= now then begin
-      ignore (Queue.pop t.completions);
-      complete id;
+  if not (Iring.is_empty t.comp_id) then begin
+    if Iring.peek t.comp_ready <= now then begin
+      ignore (Iring.pop t.comp_ready);
+      complete (Iring.pop t.comp_id);
       deliver_completions t ~now ~complete
     end
   end
@@ -376,9 +401,12 @@ type checkpoint = {
   ck_array : line_meta Sram.checkpoint;
   ck_repl : Replacement.checkpoint;
   ck_miss_lat : Histogram.t;
-  ck_input : pending list;
+  ck_in_line : Iring.t;
+  ck_in_store : Iring.t;
+  ck_in_id : Iring.t;
   ck_mshrs : mshr option array;
-  ck_completions : (int * int) list;
+  ck_comp_id : Iring.t;
+  ck_comp_ready : Iring.t;
   ck_flushing : bool;
   ck_flush_cursor : int;
 }
@@ -390,9 +418,12 @@ let save t =
     ck_array = Sram.save t.array;
     ck_repl = Replacement.save t.repl;
     ck_miss_lat = Histogram.copy t.miss_lat;
-    ck_input = Fifo.to_list t.input;
+    ck_in_line = Iring.copy t.in_line;
+    ck_in_store = Iring.copy t.in_store;
+    ck_in_id = Iring.copy t.in_id;
     ck_mshrs = Array.map (Option.map copy_mshr) t.mshrs;
-    ck_completions = List.of_seq (Queue.to_seq t.completions);
+    ck_comp_id = Iring.copy t.comp_id;
+    ck_comp_ready = Iring.copy t.comp_ready;
     ck_flushing = t.flushing;
     ck_flush_cursor = t.flush_cursor;
   }
@@ -401,10 +432,12 @@ let restore t ck =
   Sram.restore t.array ck.ck_array;
   Replacement.restore t.repl ck.ck_repl;
   Histogram.restore ~into:t.miss_lat ck.ck_miss_lat;
-  Fifo.assign t.input ck.ck_input;
+  Iring.assign t.in_line ~from:ck.ck_in_line;
+  Iring.assign t.in_store ~from:ck.ck_in_store;
+  Iring.assign t.in_id ~from:ck.ck_in_id;
   Array.iteri (fun i m -> t.mshrs.(i) <- Option.map copy_mshr m) ck.ck_mshrs;
-  Queue.clear t.completions;
-  List.iter (fun c -> Queue.add c t.completions) ck.ck_completions;
+  Iring.assign t.comp_id ~from:ck.ck_comp_id;
+  Iring.assign t.comp_ready ~from:ck.ck_comp_ready;
   t.flushing <- ck.ck_flushing;
   t.flush_cursor <- ck.ck_flush_cursor
 
@@ -415,12 +448,10 @@ let restore t ck =
 let fold_state s t =
   let open Statesig in
   field s "in";
-  fifo s
-    (fun s p ->
-      int s p.p_line;
-      bool s p.p_store;
-      int s p.p_id)
-    t.input;
+  init s (Iring.length t.in_id) (fun s k ->
+      int s (Iring.get t.in_line k);
+      bool s (Iring.get t.in_store k = 1);
+      int s (Iring.get t.in_id k));
   field s "mshrs";
   array s
     (fun s m ->
@@ -435,9 +466,7 @@ let fold_state s t =
         m)
     t.mshrs;
   field s "comp";
-  queue s
-    (fun s (id, ready) ->
-      int s id;
-      int s ready)
-    t.completions;
+  init s (Iring.length t.comp_id) (fun s k ->
+      int s (Iring.get t.comp_id k);
+      int s (Iring.get t.comp_ready k));
   field s "flush"; bool s t.flushing; int s t.flush_cursor

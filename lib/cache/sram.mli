@@ -1,7 +1,11 @@
 (** Generic set-associative tag/metadata array, shared by the L1s, the
     LLC, and the TLBs.  Data contents are not modeled (the timing model
     tracks state, not values); ['a] is the per-line metadata (MSI state,
-    directory sharer sets, dirty bits, ...). *)
+    directory sharer sets, dirty bits, ...).
+
+    A set's row is allocated on its first write; until then every
+    never-written set shares one read-only all-invalid row, so [create]
+    costs two pointer arrays rather than three [sets x ways] matrices. *)
 
 type 'a t
 
@@ -11,6 +15,14 @@ val ways : 'a t -> int
 
 (** [find t ~set ~tag] is [Some (way, meta)] for a valid matching line. *)
 val find : 'a t -> set:int -> tag:int -> (int * 'a) option
+
+(** [find_way t ~set ~tag] is the way of the valid line matching [tag],
+    or [-1] — {!find} without allocating, for hit paths. *)
+val find_way : 'a t -> set:int -> tag:int -> int
+
+(** [meta t ~set ~way] is a valid way's metadata; raises
+    [Invalid_argument] if the way is invalid. *)
+val meta : 'a t -> set:int -> way:int -> 'a
 
 (** [read t ~set ~way] is [Some (tag, meta)] if the way is valid. *)
 val read : 'a t -> set:int -> way:int -> (int * 'a) option
@@ -39,7 +51,7 @@ val iter_valid : (int -> int -> int -> 'a -> unit) -> 'a t -> unit
 (** [invalidate_all t] clears every line (whole-structure flush). *)
 val invalidate_all : 'a t -> unit
 
-(** Value snapshot of tags, valid bits, and metadata. *)
+(** Value snapshot of tags and metadata. *)
 type 'a checkpoint
 
 (** [save ?copy t] captures the array.  Pass [copy] when ['a] is a

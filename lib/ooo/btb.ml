@@ -20,6 +20,10 @@ let predict t ~pc =
   let i = slot t pc in
   if t.valid.(i) && t.tags.(i) = pc then Some t.targets.(i) else None
 
+let predicts t ~pc ~target =
+  let i = slot t pc in
+  t.valid.(i) && t.tags.(i) = pc && t.targets.(i) = target
+
 let update t ~pc ~target =
   let i = slot t pc in
   t.valid.(i) <- true;

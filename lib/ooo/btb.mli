@@ -10,6 +10,10 @@ val create : ?entries:int -> unit -> t
 (** [predict t ~pc] is the cached target for a control instruction. *)
 val predict : t -> pc:int -> int option
 
+(** [predicts t ~pc ~target] is [predict t ~pc = Some target], without
+    allocating. *)
+val predicts : t -> pc:int -> target:int -> bool
+
 (** [update t ~pc ~target] installs/overwrites the mapping. *)
 val update : t -> pc:int -> target:int -> unit
 

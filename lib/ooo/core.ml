@@ -5,20 +5,30 @@ let never = max_int
 (* Types                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type rob_state = Rs_waiting | Rs_issued | Rs_done
+(* ROB entry states (also their fold codes). *)
+let rs_waiting = 0
+let rs_issued = 1
+let rs_done = 2
 
-type rob_entry = {
-  u : Uop.t;
-  dst_phys : int option;
-  old_phys : int option; (* previous mapping of the dst, freed at commit *)
-  src_phys : int list;
-  lq_slot : int option;
-  sq_slot : int option;
-  mutable state : rob_state;
-  mutable mispredict : bool;
-}
+(* Deferred events are ints: the kind in the low [ev_kind_bits] bits, the
+   ROB index (or, I-side, the page) above them. *)
+let ev_kind_bits = 3
+let ev_alu_done = 0 (* ALU/branch result ready; a branch may unblock fetch *)
+let ev_store_addr = 1 (* translated store address enters the SQ *)
+let ev_load_forward = 2 (* store-to-load forward completes *)
+let ev_load_retry = 3 (* the L1D refused the load last cycle *)
+let ev_dtlb_l2 = 4 (* D-side L2-TLB lookup *)
+let ev_dtlb_walk_retry = 5 (* both walker slots were busy *)
+let ev_itlb_l2 = 6
+let ev_itlb_walk_retry = 7
 
-type sq_entry = { sq_line : int; mutable sq_addr_ready : bool }
+(* The timing wheel.  Every delay is in [1, wheel_size) and the core
+   ticks every cycle, so an event always lands in a bucket other than
+   the one being run, and each bucket holds only events due at its
+   cycle: the next cycle congruent to it modulo [wheel_size].  Buckets
+   are lists threaded through one pool of event slots. *)
+let wheel_size = 32
+let wheel_mask = wheel_size - 1
 
 type purge_phase = Pp_none | Pp_quiesce | Pp_flush of int (* start cycle *)
 
@@ -49,6 +59,9 @@ type counters = {
   k_cpi : Stats.counter array; (* indexed like [cpi_counters] *)
 }
 
+(* Every queue is a flat array with a head cursor and a count, every
+   optional slot field an int with -1 for "none", so the per-cycle path
+   allocates nothing and a checkpoint is a set of array copies. *)
 type t = {
   cfg : Core_config.t;
   l1i : L1.t;
@@ -65,7 +78,10 @@ type t = {
   tcache : Trans_cache.t;
   ptw : Ptw.t;
   ptw_issue : line:int -> id:int -> bool; (* walker reads into the L1D *)
-  fetch_q : rob_ref Fifo.t;
+  fq_uop : Uop.t array; (* fetch queue ring *)
+  fq_mispredict : bool array;
+  mutable fq_head : int;
+  mutable fq_count : int;
   mutable stream_done : bool;
   mutable fetch_stall_until : int;
   mutable fetch_blocked_on_resolve : bool;
@@ -74,27 +90,49 @@ type t = {
   mutable fetch_wait_itlb : bool;
   mutable last_fetch_line : int;
   mutable last_fetch_page : int;
-  (* Rename / backend *)
-  rob : rob_entry option array;
+  (* Rename / backend.  ROB slot [i] is live iff it lies within
+     [rob_count] of [rob_head]. *)
+  rob_uop : Uop.t array;
+  rob_state : int array; (* rs_* *)
+  rob_mispredict : bool array;
+  rob_dst : int array; (* phys reg written, -1 if none *)
+  rob_old : int array; (* previous mapping of the dst, freed at commit *)
+  rob_src : int array; (* 2 per slot, phys regs read, -1 padded *)
+  rob_lq : int array; (* LQ slot, -1 if none *)
+  rob_sq : int array; (* SQ slot, -1 if none *)
   mutable rob_head : int;
   mutable rob_tail : int;
   mutable rob_count : int;
   map_table : int array; (* logical -> phys *)
-  free_list : int Queue.t;
+  free_list : Iring.t;
   ready_at : int array; (* per phys reg *)
-  iq_alu : int list ref array; (* rob indices, oldest first (reversed store) *)
-  iq_mem : int list ref;
-  iq_fp : int list ref;
+  (* Issue queues of ROB indices, oldest first: [alu_pipes] ALU queues,
+     then the FP queue, then the MEM queue. *)
+  iq : int array array;
+  iq_len : int array;
   lq : bool array; (* slot busy *)
-  sq : sq_entry option array;
+  lq_rob : int array; (* LQ slot -> ROB index of its load *)
+  sq_line : int array; (* -1 when the slot is free *)
+  sq_addr_ready : bool array;
   mutable sq_head : int;
   mutable sq_tail : int;
   mutable sq_count : int;
   sb : bool array; (* store buffer slots busy *)
   sb_lines : int array; (* line held by each store-buffer slot *)
-  sb_pending : int Queue.t; (* sb slots waiting to drain *)
+  sb_pending : Iring.t; (* sb slots waiting to drain *)
   mutable dtlb_outstanding : int;
-  events : (int * (unit -> unit)) list ref; (* deferred continuations *)
+  (* Timing wheel: bucket [b] is the slot list from [ev_head.(b)] to
+     [ev_tail.(b)] through [ev_next], in insertion order; free slots
+     chain from [ev_free].  [ev_seq] numbers every event in insertion
+     order across buckets; only [fold_state] reads it. *)
+  ev_code : int array;
+  ev_seq : int array;
+  ev_next : int array; (* -1 ends a list *)
+  ev_head : int array;
+  ev_tail : int array;
+  mutable ev_free : int;
+  mutable ev_live : int;
+  mutable ev_next_seq : int;
   mutable purge : purge_phase;
   mutable purge_kind : purge_kind;
   mutable saved_predictors : predictor_ctx option;
@@ -112,8 +150,6 @@ type t = {
   purge_lat : Histogram.t; (* full purge duration *)
   mutable on_commit : Uop.t -> unit; (* retirement probe, default no-op *)
 }
-
-and rob_ref = { pre_uop : Uop.t; pre_mispredict : bool }
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -162,13 +198,23 @@ let ptw_issue l1d ~line ~id =
     true
   end
 
+let fetch_queue_depth = 16
+
+(* Placeholder filling empty fetch-queue and ROB slots. *)
+let no_uop = { Uop.pc = 0; kind = Uop.Enter_kernel; dst = None; srcs = [] }
+
 let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     ~l1i ~l1d ~stream ~stats ~pt_base_line =
+  let open Core_config in
   let tcache = Trans_cache.create ~entries_per_level:24 ~levels:2 in
-  let free_list = Queue.create () in
-  for p = 32 to cfg.Core_config.phys_regs - 1 do
-    Queue.add p free_list
+  let free_list = Iring.create ~capacity:cfg.phys_regs in
+  for p = 32 to cfg.phys_regs - 1 do
+    Iring.push free_list p
   done;
+  let rob = cfg.rob_entries in
+  (* At most one event per ROB entry is pending at a time, plus the
+     I-side's one. *)
+  let ev_slots = rob + 1 in
   {
     cfg;
     l1i;
@@ -186,7 +232,10 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
       Ptw.create ~trace ~core:id ~max_walks:2 ~tcache ~pt_base_line
         ~table_window_lines:4096 ();
     ptw_issue = ptw_issue l1d;
-    fetch_q = Fifo.create ~capacity:16;
+    fq_uop = Array.make fetch_queue_depth no_uop;
+    fq_mispredict = Array.make fetch_queue_depth false;
+    fq_head = 0;
+    fq_count = 0;
     stream_done = false;
     fetch_stall_until = 0;
     fetch_blocked_on_resolve = false;
@@ -195,26 +244,42 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     fetch_wait_itlb = false;
     last_fetch_line = -1;
     last_fetch_page = -1;
-    rob = Array.make cfg.Core_config.rob_entries None;
+    rob_uop = Array.make rob no_uop;
+    rob_state = Array.make rob rs_waiting;
+    rob_mispredict = Array.make rob false;
+    rob_dst = Array.make rob (-1);
+    rob_old = Array.make rob (-1);
+    rob_src = Array.make (2 * rob) (-1);
+    rob_lq = Array.make rob (-1);
+    rob_sq = Array.make rob (-1);
     rob_head = 0;
     rob_tail = 0;
     rob_count = 0;
     map_table = Array.init 32 (fun i -> i);
     free_list;
-    ready_at = Array.make cfg.Core_config.phys_regs 0;
-    iq_alu = Array.init cfg.Core_config.alu_pipes (fun _ -> ref []);
-    iq_mem = ref [];
-    iq_fp = ref [];
-    lq = Array.make cfg.Core_config.lq_entries false;
-    sq = Array.make cfg.Core_config.sq_entries None;
+    ready_at = Array.make cfg.phys_regs 0;
+    iq =
+      Array.init (cfg.alu_pipes + 2) (fun _ -> Array.make cfg.iq_entries 0);
+    iq_len = Array.make (cfg.alu_pipes + 2) 0;
+    lq = Array.make cfg.lq_entries false;
+    lq_rob = Array.make cfg.lq_entries (-1);
+    sq_line = Array.make cfg.sq_entries (-1);
+    sq_addr_ready = Array.make cfg.sq_entries false;
     sq_head = 0;
     sq_tail = 0;
     sq_count = 0;
-    sb = Array.make cfg.Core_config.sb_entries false;
-    sb_lines = Array.make cfg.Core_config.sb_entries 0;
-    sb_pending = Queue.create ();
+    sb = Array.make cfg.sb_entries false;
+    sb_lines = Array.make cfg.sb_entries 0;
+    sb_pending = Iring.create ~capacity:cfg.sb_entries;
     dtlb_outstanding = 0;
-    events = ref [];
+    ev_code = Array.make ev_slots 0;
+    ev_seq = Array.make ev_slots 0;
+    ev_next = Array.init ev_slots (fun i -> if i + 1 < ev_slots then i + 1 else -1);
+    ev_head = Array.make wheel_size (-1);
+    ev_tail = Array.make wheel_size (-1);
+    ev_free = 0;
+    ev_live = 0;
+    ev_next_seq = 0;
     purge = Pp_none;
     purge_kind = Pk_external;
     saved_predictors = None;
@@ -227,7 +292,7 @@ let create ?(trace = Trace.null) ?(selfprof = Selfprof.null) ?(id = 0) cfg
     last_cpi = 6;
     on_commit = ignore;
     purge_started = 0;
-    lq_issued_at = Array.make cfg.Core_config.lq_entries 0;
+    lq_issued_at = Array.make cfg.lq_entries 0;
     load_lat = Histogram.create ();
     purge_lat = Histogram.create ();
   }
@@ -263,82 +328,214 @@ let predictor_signature t =
 let request_purge t = t.purge_requested <- true
 
 (* ------------------------------------------------------------------ *)
+(* ROB helpers                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let rob_size t = Array.length t.rob_uop
+let rob_full t = t.rob_count = rob_size t
+let rob_empty t = t.rob_count = 0
+
+let rob_live t i =
+  let n = rob_size t in
+  (i - t.rob_head + n) mod n < t.rob_count
+
+let srcs_ready t idx =
+  let s0 = t.rob_src.(2 * idx) and s1 = t.rob_src.((2 * idx) + 1) in
+  (s0 < 0 || t.ready_at.(s0) <= t.now) && (s1 < 0 || t.ready_at.(s1) <= t.now)
+
+let mark_done t idx =
+  t.rob_state.(idx) <- rs_done;
+  let p = t.rob_dst.(idx) in
+  if p >= 0 then t.ready_at.(p) <- min t.ready_at.(p) t.now
+
+let set_dst_ready_at t idx at =
+  let p = t.rob_dst.(idx) in
+  if p >= 0 then t.ready_at.(p) <- at
+
+let mem_addr t idx =
+  match t.rob_uop.(idx).Uop.kind with
+  | Uop.Load { addr } | Uop.Store { addr } -> addr
+  | _ -> invalid_arg "Core: not a memory µop"
+
+(* ------------------------------------------------------------------ *)
 (* Events                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let after t delay k = t.events := (t.now + delay, k) :: !(t.events)
+let after t delay code =
+  if delay < 1 || delay >= wheel_size then
+    invalid_arg
+      (Printf.sprintf "Core: event delay %d outside [1, %d)" delay wheel_size);
+  let i = t.ev_free in
+  if i < 0 then failwith "Core: no free event slot";
+  t.ev_free <- t.ev_next.(i);
+  t.ev_code.(i) <- code;
+  t.ev_seq.(i) <- t.ev_next_seq;
+  t.ev_next_seq <- t.ev_next_seq + 1;
+  t.ev_next.(i) <- -1;
+  let b = (t.now + delay) land wheel_mask in
+  if t.ev_head.(b) < 0 then t.ev_head.(b) <- i
+  else t.ev_next.(t.ev_tail.(b)) <- i;
+  t.ev_tail.(b) <- i;
+  t.ev_live <- t.ev_live + 1
 
-let run_events t =
-  let due, rest = List.partition (fun (at, _) -> at <= t.now) !(t.events) in
-  t.events := rest;
-  (* Oldest first for determinism. *)
-  List.iter (fun (_, k) -> k ()) (List.rev due)
+let event kind arg = (arg lsl ev_kind_bits) lor kind
 
 (* ------------------------------------------------------------------ *)
-(* Translation (D-side)                                                *)
+(* Translation (D-side and I-side misses)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Attempt to begin translation; [k] fires when the translation is
-   available.  Returns false when the DTLB cannot take another miss this
-   cycle (caller retries next cycle). *)
-let translate_d t ~addr ~k =
-  let vpage = addr / 4096 in
+(* A walk's token names its requester: a ROB index (D-side) or a page
+   (I-side) above a side bit. *)
+let walk_token_d idx = idx lsl 1
+let walk_token_i page = (page lsl 1) lor 1
+
+let start_walk t ~vpage ~token ~retry =
+  if Ptw.can_start t.ptw then Ptw.start ~now:t.now t.ptw ~vpage ~token
+  else after t 1 retry
+
+(* A load whose translation is available reaches the L1D once it has
+   room. *)
+let load_to_cache t idx =
+  if L1.can_accept t.l1d then
+    L1.request t.l1d ~line:(mem_addr t idx lsr 6) ~store:false
+      ~id:t.rob_lq.(idx)
+  else after t 1 (event ev_load_retry idx)
+
+(* The memory µop at [idx] has its translation: a store's address
+   enters the SQ next cycle; a load forwards from an older store or goes
+   to the cache. *)
+let translated t idx =
+  match t.rob_uop.(idx).Uop.kind with
+  | Uop.Store _ -> after t 1 (event ev_store_addr idx)
+  | Uop.Load { addr } ->
+    let line = addr lsr 6 in
+    let found = ref false in
+    (* Store-to-load forwarding: an older SQ entry with a ready address
+       on the same line forwards, as does a store-buffer entry that has
+       retired but not yet drained to the D-cache.  (Timing model:
+       unknown older store addresses do not block the load — RiscyOO
+       issues loads speculatively.) *)
+    for i = 0 to Array.length t.sq_line - 1 do
+      if t.sq_addr_ready.(i) && t.sq_line.(i) = line then found := true
+    done;
+    for i = 0 to Array.length t.sb - 1 do
+      if t.sb.(i) && t.sb_lines.(i) = line then found := true
+    done;
+    if !found then begin
+      Stats.bump t.ctr.k_store_forwards;
+      after t 1 (event ev_load_forward idx)
+    end
+    else load_to_cache t idx
+  | _ -> assert false
+
+(* Attempt to begin translation for the memory µop at [idx]; [translated]
+   runs when it is available.  Returns false when the DTLB cannot take
+   another miss this cycle (caller retries next cycle). *)
+let translate_d t idx =
+  let vpage = mem_addr t idx / 4096 in
   if Tlb.lookup t.dtlb ~vpage then begin
-    k ();
+    translated t idx;
     true
   end
   else if t.dtlb_outstanding >= t.cfg.Core_config.dtlb_misses then false
   else begin
     Stats.bump t.ctr.k_dtlb_misses;
     t.dtlb_outstanding <- t.dtlb_outstanding + 1;
-    after t t.cfg.Core_config.l2tlb_latency (fun () ->
-        if Tlb.lookup t.l2tlb ~vpage then begin
-          Tlb.insert t.dtlb ~vpage;
-          t.dtlb_outstanding <- t.dtlb_outstanding - 1;
-          k ()
-        end
-        else begin
-          Stats.bump t.ctr.k_l2tlb_misses;
-          (* Hardware walk; waits for a walker slot if both are busy. *)
-          let rec start_walk () =
-            if Ptw.can_start t.ptw then
-              Ptw.start ~now:t.now t.ptw ~vpage ~on_done:(fun ~reads:_ ->
-                  Tlb.insert t.l2tlb ~vpage;
-                  Tlb.insert t.dtlb ~vpage;
-                  t.dtlb_outstanding <- t.dtlb_outstanding - 1;
-                  k ())
-            else after t 1 start_walk
-          in
-          start_walk ()
-        end);
+    after t t.cfg.Core_config.l2tlb_latency (event ev_dtlb_l2 idx);
     true
   end
 
+let dtlb_l2 t idx =
+  let vpage = mem_addr t idx / 4096 in
+  if Tlb.lookup t.l2tlb ~vpage then begin
+    Tlb.insert t.dtlb ~vpage;
+    t.dtlb_outstanding <- t.dtlb_outstanding - 1;
+    translated t idx
+  end
+  else begin
+    Stats.bump t.ctr.k_l2tlb_misses;
+    (* Hardware walk; waits for a walker slot if both are busy. *)
+    start_walk t ~vpage ~token:(walk_token_d idx)
+      ~retry:(event ev_dtlb_walk_retry idx)
+  end
+
+let itlb_l2 t page =
+  if Tlb.lookup t.l2tlb ~vpage:page then begin
+    Tlb.insert t.itlb ~vpage:page;
+    t.fetch_wait_itlb <- false
+  end
+  else
+    start_walk t ~vpage:page ~token:(walk_token_i page)
+      ~retry:(event ev_itlb_walk_retry page)
+
+let walk_done t token =
+  if token land 1 = 0 then begin
+    let idx = token lsr 1 in
+    let vpage = mem_addr t idx / 4096 in
+    Tlb.insert t.l2tlb ~vpage;
+    Tlb.insert t.dtlb ~vpage;
+    t.dtlb_outstanding <- t.dtlb_outstanding - 1;
+    translated t idx
+  end
+  else begin
+    let page = token lsr 1 in
+    Tlb.insert t.l2tlb ~vpage:page;
+    Tlb.insert t.itlb ~vpage:page;
+    t.fetch_wait_itlb <- false
+  end
+
 (* ------------------------------------------------------------------ *)
-(* ROB helpers                                                         *)
+(* Event dispatch                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let rob_entry t idx =
-  match t.rob.(idx) with
-  | Some e -> e
-  | None -> failwith "Core: dangling ROB index"
+let alu_done t idx =
+  t.rob_state.(idx) <- rs_done;
+  (* Control resolution restarts a stalled front end. *)
+  match t.rob_uop.(idx).Uop.kind with
+  | Uop.Branch _ | Uop.Jump _ ->
+    if t.rob_mispredict.(idx) then begin
+      t.rob_mispredict.(idx) <- false;
+      t.fetch_blocked_on_resolve <- false;
+      t.fetch_stall_until <-
+        max t.fetch_stall_until (t.now + t.cfg.Core_config.redirect_penalty)
+    end
+  | _ -> ()
 
-let rob_full t = t.rob_count = Array.length t.rob
-let rob_empty t = t.rob_count = 0
+let fire t code =
+  let arg = code lsr ev_kind_bits in
+  (* Arms in [ev_*] order. *)
+  match code land ((1 lsl ev_kind_bits) - 1) with
+  | 0 -> alu_done t arg
+  | 1 ->
+    t.sq_addr_ready.(t.rob_sq.(arg)) <- true;
+    t.rob_state.(arg) <- rs_done
+  | 2 -> mark_done t arg
+  | 3 -> load_to_cache t arg
+  | 4 -> dtlb_l2 t arg
+  | 5 ->
+    start_walk t
+      ~vpage:(mem_addr t arg / 4096)
+      ~token:(walk_token_d arg) ~retry:code
+  | 6 -> itlb_l2 t arg
+  | _ (* ev_itlb_walk_retry *) ->
+    start_walk t ~vpage:arg ~token:(walk_token_i arg) ~retry:code
 
-let srcs_ready t e = List.for_all (fun p -> t.ready_at.(p) <= t.now) e.src_phys
-
-let mark_done t idx =
-  let e = rob_entry t idx in
-  e.state <- Rs_done;
-  match e.dst_phys with
-  | Some p -> t.ready_at.(p) <- min t.ready_at.(p) t.now
-  | None -> ()
-
-let set_dst_ready_at t e at =
-  match e.dst_phys with
-  | Some p -> t.ready_at.(p) <- at
-  | None -> ()
+(* Runs the bucket due this cycle, oldest first.  Handlers only schedule
+   into other buckets, so the bucket is detached up front and each slot
+   is freed before its handler runs. *)
+let run_events t =
+  let b = t.now land wheel_mask in
+  let i = ref t.ev_head.(b) in
+  t.ev_head.(b) <- -1;
+  while !i >= 0 do
+    let slot = !i in
+    let code = t.ev_code.(slot) in
+    i := t.ev_next.(slot);
+    t.ev_next.(slot) <- t.ev_free;
+    t.ev_free <- slot;
+    t.ev_live <- t.ev_live - 1;
+    fire t code
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Fetch                                                               *)
@@ -356,22 +553,7 @@ let fetch_mem_ok t (u : Uop.t) =
     if page <> t.last_fetch_page && not (Tlb.lookup t.itlb ~vpage:page) then begin
       Stats.bump t.ctr.k_itlb_misses;
       t.fetch_wait_itlb <- true;
-      after t t.cfg.Core_config.l2tlb_latency (fun () ->
-          if Tlb.lookup t.l2tlb ~vpage:page then begin
-            Tlb.insert t.itlb ~vpage:page;
-            t.fetch_wait_itlb <- false
-          end
-          else begin
-            let rec start_walk () =
-              if Ptw.can_start t.ptw then
-                Ptw.start ~now:t.now t.ptw ~vpage:page ~on_done:(fun ~reads:_ ->
-                    Tlb.insert t.l2tlb ~vpage:page;
-                    Tlb.insert t.itlb ~vpage:page;
-                    t.fetch_wait_itlb <- false)
-              else after t 1 start_walk
-            in
-            start_walk ()
-          end);
+      after t t.cfg.Core_config.l2tlb_latency (event ev_itlb_l2 page);
       false
     end
     else begin
@@ -406,10 +588,10 @@ let predict_control t (u : Uop.t) =
   | Uop.Branch { taken; target } ->
     Stats.bump t.ctr.k_branches;
     let pred_dir = Tournament.predict t.tournament ~pc:u.Uop.pc in
-    let btb_target = Btb.predict t.btb ~pc:u.Uop.pc in
+    let btb_hit = Btb.predicts t.btb ~pc:u.Uop.pc ~target in
     Tournament.update t.tournament ~pc:u.Uop.pc ~taken;
     if taken then Btb.update t.btb ~pc:u.Uop.pc ~target;
-    if pred_dir <> taken || (taken && btb_target <> Some target) then begin
+    if pred_dir <> taken || (taken && not btb_hit) then begin
       Stats.bump t.ctr.k_mispredicts;
       F_stall_until_resolve
     end
@@ -418,7 +600,7 @@ let predict_control t (u : Uop.t) =
     match kind with
     | `Plain | `Call ->
       if kind = `Call then Ras.push t.ras (u.Uop.pc + 4);
-      let hit = Btb.predict t.btb ~pc:u.Uop.pc = Some target in
+      let hit = Btb.predicts t.btb ~pc:u.Uop.pc ~target in
       Btb.update t.btb ~pc:u.Uop.pc ~target;
       if hit then F_ok
       else begin
@@ -444,7 +626,7 @@ let fetch_stage t =
   then begin
     let budget = ref t.cfg.Core_config.fetch_width in
     let stop = ref false in
-    while !budget > 0 && (not !stop) && Fifo.can_enq t.fetch_q do
+    while !budget > 0 && (not !stop) && t.fq_count < fetch_queue_depth do
       match t.stream () with
       | None ->
         t.stream_done <- true;
@@ -478,7 +660,10 @@ let fetch_stage t =
           t.fetch_blocked_on_trap <- true;
           stop := true
         | Uop.Alu _ | Uop.Load _ | Uop.Store _ -> ());
-        Fifo.enq t.fetch_q { pre_uop = u; pre_mispredict = !mispredicted };
+        let i = (t.fq_head + t.fq_count) mod fetch_queue_depth in
+        t.fq_uop.(i) <- u;
+        t.fq_mispredict.(i) <- !mispredicted;
+        t.fq_count <- t.fq_count + 1;
         if not mem_ok then stop := true else decr budget
     done
   end
@@ -487,46 +672,70 @@ let fetch_stage t =
 (* Rename / dispatch                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let alloc_lq t =
-  let rec go i =
-    if i >= Array.length t.lq then None
-    else if not t.lq.(i) then Some i
-    else go (i + 1)
-  in
-  go 0
+(* The lowest free slot of a busy-flag array, or -1.  Per-cycle scans
+   are loops: a local recursive function would allocate its closure. *)
+let first_free busy =
+  let slot = ref (-1) and i = ref 0 in
+  while !slot < 0 && !i < Array.length busy do
+    if not busy.(!i) then slot := !i;
+    incr i
+  done;
+  !slot
+
+let alloc_lq t = first_free t.lq
+
+let fp_queue t = t.cfg.Core_config.alu_pipes
+let mem_queue t = t.cfg.Core_config.alu_pipes + 1
+
+let iq_push t q idx =
+  t.iq.(q).(t.iq_len.(q)) <- idx;
+  t.iq_len.(q) <- t.iq_len.(q) + 1
 
 let dispatch_iq t idx (u : Uop.t) =
   match u.Uop.kind with
-  | Uop.Load _ | Uop.Store _ -> t.iq_mem := idx :: !(t.iq_mem)
-  | Uop.Alu { pipe = Uop.Pipe_fp; _ } -> t.iq_fp := idx :: !(t.iq_fp)
+  | Uop.Load _ | Uop.Store _ -> iq_push t (mem_queue t) idx
+  | Uop.Alu { pipe = Uop.Pipe_fp; _ } -> iq_push t (fp_queue t) idx
   | Uop.Alu _ | Uop.Branch _ | Uop.Jump _ ->
-    (* Pick the shorter ALU issue queue. *)
+    (* Pick the shorter ALU issue queue; the lowest index wins ties. *)
     let best = ref 0 in
-    Array.iteri
-      (fun i q ->
-        if List.length !q < List.length !(t.iq_alu.(!best)) then best := i
-        else ignore q)
-      t.iq_alu;
-    let q = t.iq_alu.(!best) in
-    q := idx :: !q
+    for q = 1 to t.cfg.Core_config.alu_pipes - 1 do
+      if t.iq_len.(q) < t.iq_len.(!best) then best := q
+    done;
+    iq_push t !best idx
   | Uop.Enter_kernel | Uop.Exit_kernel -> ()
-
-let iq_len q = List.length !q
 
 let iq_has_room t (u : Uop.t) =
   let cap = t.cfg.Core_config.iq_entries in
   match u.Uop.kind with
-  | Uop.Load _ | Uop.Store _ -> iq_len t.iq_mem < cap
-  | Uop.Alu { pipe = Uop.Pipe_fp; _ } -> iq_len t.iq_fp < cap
+  | Uop.Load _ | Uop.Store _ -> t.iq_len.(mem_queue t) < cap
+  | Uop.Alu { pipe = Uop.Pipe_fp; _ } -> t.iq_len.(fp_queue t) < cap
   | Uop.Alu _ | Uop.Branch _ | Uop.Jump _ ->
-    Array.exists (fun q -> iq_len q < cap) t.iq_alu
+    let room = ref false in
+    for q = 0 to t.cfg.Core_config.alu_pipes - 1 do
+      if t.iq_len.(q) < cap then room := true
+    done;
+    !room
   | Uop.Enter_kernel | Uop.Exit_kernel -> true
+
+let rename_srcs t idx (u : Uop.t) =
+  let s = 2 * idx in
+  match u.Uop.srcs with
+  | [] ->
+    t.rob_src.(s) <- -1;
+    t.rob_src.(s + 1) <- -1
+  | [ a ] ->
+    t.rob_src.(s) <- t.map_table.(a);
+    t.rob_src.(s + 1) <- -1
+  | [ a; b ] ->
+    t.rob_src.(s) <- t.map_table.(a);
+    t.rob_src.(s + 1) <- t.map_table.(b)
+  | _ -> invalid_arg "Core: a µop reads at most two registers"
 
 let rename_stage t =
   let budget = ref t.cfg.Core_config.fetch_width in
   let stop = ref false in
-  while !budget > 0 && (not !stop) && Fifo.can_deq t.fetch_q do
-    let { pre_uop = u; pre_mispredict } = Fifo.peek t.fetch_q in
+  while !budget > 0 && (not !stop) && t.fq_count > 0 do
+    let u = t.fq_uop.(t.fq_head) in
     let is_mem = Uop.is_mem u in
     let is_marker =
       match u.Uop.kind with
@@ -537,18 +746,20 @@ let rename_stage t =
       t.cfg.Core_config.nonspec_mem && is_mem && not (rob_empty t)
     in
     let marker_block = is_marker && not (rob_empty t) in
-    let needs_dst = u.Uop.dst <> None in
+    let needs_dst = match u.Uop.dst with Some _ -> true | None -> false in
     let sq_needed = match u.Uop.kind with Uop.Store _ -> true | _ -> false in
     let lq_needed = match u.Uop.kind with Uop.Load _ -> true | _ -> false in
     if
       rob_full t || nonspec_block || marker_block
-      || (needs_dst && Queue.is_empty t.free_list)
+      || (needs_dst && Iring.is_empty t.free_list)
       || (not (iq_has_room t u))
-      || (sq_needed && t.sq_count = Array.length t.sq)
-      || (lq_needed && alloc_lq t = None)
+      || (sq_needed && t.sq_count = Array.length t.sq_line)
+      || (lq_needed && alloc_lq t < 0)
     then stop := true
     else begin
-      ignore (Fifo.deq t.fetch_q);
+      let pre_mispredict = t.fq_mispredict.(t.fq_head) in
+      t.fq_head <- (t.fq_head + 1) mod fetch_queue_depth;
+      t.fq_count <- t.fq_count - 1;
       if is_marker then begin
         (* Serialized trap boundary: costs the trap latency and, in FLUSH
            variants, triggers the purge state machine.  Nothing younger
@@ -571,54 +782,39 @@ let rename_stage t =
         end
       end
       else begin
-        let src_phys = List.map (fun r -> t.map_table.(r)) u.Uop.srcs in
-        let dst_phys, old_phys =
-          match u.Uop.dst with
-          | None -> (None, None)
-          | Some d ->
-            let p = Queue.pop t.free_list in
-            let old = t.map_table.(d) in
-            t.map_table.(d) <- p;
-            t.ready_at.(p) <- never;
-            (Some p, Some old)
-        in
-        let lq_slot =
-          if lq_needed then begin
-            match alloc_lq t with
-            | Some s ->
-              t.lq.(s) <- true;
-              Some s
-            | None -> assert false
-          end
-          else None
-        in
-        let sq_slot =
-          if sq_needed then begin
-            let s = t.sq_tail in
-            t.sq_tail <- (t.sq_tail + 1) mod Array.length t.sq;
-            t.sq_count <- t.sq_count + 1;
-            (match u.Uop.kind with
-            | Uop.Store { addr } ->
-              t.sq.(s) <- Some { sq_line = addr lsr 6; sq_addr_ready = false }
-            | _ -> assert false);
-            Some s
-          end
-          else None
-        in
         let idx = t.rob_tail in
-        t.rob.(idx) <-
-          Some
-            {
-              u;
-              dst_phys;
-              old_phys;
-              src_phys;
-              lq_slot;
-              sq_slot;
-              state = Rs_waiting;
-              mispredict = pre_mispredict;
-            };
-        t.rob_tail <- (t.rob_tail + 1) mod Array.length t.rob;
+        (* Sources read the mappings from before this µop's own dst. *)
+        rename_srcs t idx u;
+        (match u.Uop.dst with
+        | None ->
+          t.rob_dst.(idx) <- -1;
+          t.rob_old.(idx) <- -1
+        | Some d ->
+          let p = Iring.pop t.free_list in
+          t.rob_dst.(idx) <- p;
+          t.rob_old.(idx) <- t.map_table.(d);
+          t.map_table.(d) <- p;
+          t.ready_at.(p) <- never);
+        (if lq_needed then begin
+           let s = alloc_lq t in
+           t.lq.(s) <- true;
+           t.lq_rob.(s) <- idx;
+           t.rob_lq.(idx) <- s
+         end
+         else t.rob_lq.(idx) <- -1);
+        (match u.Uop.kind with
+        | Uop.Store { addr } ->
+          let s = t.sq_tail in
+          t.sq_tail <- (t.sq_tail + 1) mod Array.length t.sq_line;
+          t.sq_count <- t.sq_count + 1;
+          t.sq_line.(s) <- addr lsr 6;
+          t.sq_addr_ready.(s) <- false;
+          t.rob_sq.(idx) <- s
+        | _ -> t.rob_sq.(idx) <- -1);
+        t.rob_uop.(idx) <- u;
+        t.rob_state.(idx) <- rs_waiting;
+        t.rob_mispredict.(idx) <- pre_mispredict;
+        t.rob_tail <- (t.rob_tail + 1) mod rob_size t;
         t.rob_count <- t.rob_count + 1;
         dispatch_iq t idx u
       end;
@@ -630,145 +826,72 @@ let rename_stage t =
 (* Issue / execute                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Oldest-first scan: queues store newest-first, so scan the reverse. *)
+(* Oldest-first scan: position in queue [q] of the first waiting entry
+   whose sources are ready, or -1. *)
 let pick_ready t q =
-  let rec go = function
-    | [] -> None
-    | idx :: rest ->
-      let e = rob_entry t idx in
-      if e.state = Rs_waiting && srcs_ready t e then Some idx else go rest
-  in
-  go (List.rev !q)
+  let entries = t.iq.(q) and n = t.iq_len.(q) in
+  let pos = ref (-1) and k = ref 0 in
+  while !pos < 0 && !k < n do
+    let idx = entries.(!k) in
+    if t.rob_state.(idx) = rs_waiting && srcs_ready t idx then pos := !k;
+    incr k
+  done;
+  !pos
 
-let remove_from q idx = q := List.filter (fun i -> i <> idx) !q
-
-(* Store-to-load forwarding: an older SQ entry with a ready address on the
-   same line forwards, as does a store-buffer entry that has retired but
-   not yet drained to the D-cache.  (Timing model: unknown older store
-   addresses do not block the load — RiscyOO issues loads
-   speculatively.) *)
-let forwardable t line =
-  let found = ref false in
-  Array.iter
-    (fun slot ->
-      match slot with
-      | Some s when s.sq_addr_ready && s.sq_line = line -> found := true
-      | _ -> ())
-    t.sq;
-  Array.iteri
-    (fun i busy -> if busy && t.sb_lines.(i) = line then found := true)
-    t.sb;
-  !found
+let iq_remove t q k =
+  let n = t.iq_len.(q) in
+  Array.blit t.iq.(q) (k + 1) t.iq.(q) k (n - k - 1);
+  t.iq_len.(q) <- n - 1
 
 let issue_alu_like t idx =
-  let e = rob_entry t idx in
-  e.state <- Rs_issued;
+  t.rob_state.(idx) <- rs_issued;
   let latency =
-    match e.u.Uop.kind with
+    match t.rob_uop.(idx).Uop.kind with
     | Uop.Alu { latency; _ } -> latency
     | Uop.Branch _ | Uop.Jump _ -> 1
     | _ -> assert false
   in
-  set_dst_ready_at t e (t.now + latency);
-  after t latency (fun () ->
-      e.state <- Rs_done;
-      (* Control resolution restarts a stalled front end. *)
-      match e.u.Uop.kind with
-      | Uop.Branch _ | Uop.Jump _ ->
-        if e.mispredict then begin
-          e.mispredict <- false;
-          t.fetch_blocked_on_resolve <- false;
-          t.fetch_stall_until <-
-            max t.fetch_stall_until
-              (t.now + t.cfg.Core_config.redirect_penalty)
-        end
-      | _ -> ())
+  set_dst_ready_at t idx (t.now + latency);
+  after t latency (event ev_alu_done idx)
 
+(* Address generation + translation; a store "executes" when its address
+   is translated and entered into the SQ, a load when its data returns.
+   A DTLB-port stall reverts the µop to waiting (retry). *)
 let issue_mem t idx =
-  let e = rob_entry t idx in
-  e.state <- Rs_issued;
-  match e.u.Uop.kind with
-  | Uop.Store { addr } ->
-    (* Address generation + translation; the store "executes" when its
-       address is translated and entered into the SQ. *)
-    let k () =
-      after t 1 (fun () ->
-          (match e.sq_slot with
-          | Some s -> (
-            match t.sq.(s) with
-            | Some sq -> sq.sq_addr_ready <- true
-            | None -> assert false)
-          | None -> assert false);
-          e.state <- Rs_done)
-    in
-    if not (translate_d t ~addr ~k) then e.state <- Rs_waiting (* retry *)
-  | Uop.Load { addr } ->
-    (match e.lq_slot with
-    | Some s -> t.lq_issued_at.(s) <- t.now
-    | None -> ());
-    let line = addr lsr 6 in
-    let k () =
-      if forwardable t line then begin
-        Stats.bump t.ctr.k_store_forwards;
-        after t 1 (fun () -> mark_done t idx)
-      end
-      else begin
-        let lq_slot = match e.lq_slot with Some s -> s | None -> assert false in
-        let rec try_cache () =
-          if L1.can_accept t.l1d then
-            L1.request t.l1d ~line ~store:false ~id:lq_slot
-          else after t 1 try_cache
-        in
-        try_cache ()
-      end
-    in
-    if not (translate_d t ~addr ~k) then e.state <- Rs_waiting
-  | _ -> assert false
+  t.rob_state.(idx) <- rs_issued;
+  (match t.rob_uop.(idx).Uop.kind with
+  | Uop.Load _ -> t.lq_issued_at.(t.rob_lq.(idx)) <- t.now
+  | _ -> ());
+  if not (translate_d t idx) then t.rob_state.(idx) <- rs_waiting
 
 let issue_stage t =
-  Array.iter
-    (fun q ->
-      match pick_ready t q with
-      | Some idx ->
-        remove_from q idx;
-        issue_alu_like t idx
-      | None -> ())
-    t.iq_alu;
-  (match pick_ready t t.iq_fp with
-  | Some idx ->
-    remove_from t.iq_fp idx;
-    issue_alu_like t idx
-  | None -> ());
-  match pick_ready t t.iq_mem with
-  | Some idx -> (
+  for q = 0 to mem_queue t - 1 do
+    (* ALU queues, then FP *)
+    let k = pick_ready t q in
+    if k >= 0 then begin
+      let idx = t.iq.(q).(k) in
+      iq_remove t q k;
+      issue_alu_like t idx
+    end
+  done;
+  let q = mem_queue t in
+  let k = pick_ready t q in
+  if k >= 0 then begin
+    let idx = t.iq.(q).(k) in
     issue_mem t idx;
     (* Leave in the queue on a DTLB-port stall (state reverted). *)
-    let e = rob_entry t idx in
-    match e.state with
-    | Rs_waiting -> ()
-    | _ -> remove_from t.iq_mem idx)
-  | None -> ()
+    if t.rob_state.(idx) <> rs_waiting then iq_remove t q k
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Store buffer                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let alloc_sb t =
-  let rec go i =
-    if i >= Array.length t.sb then None
-    else if not t.sb.(i) then Some i
-    else go (i + 1)
-  in
-  go 0
-
 let sb_stage t =
-  match Queue.peek_opt t.sb_pending with
-  | Some slot ->
-    if L1.can_accept t.l1d then begin
-      ignore (Queue.pop t.sb_pending);
-      L1.request t.l1d ~line:t.sb_lines.(slot) ~store:true ~id:(sb_tag lor slot)
-    end
-  | None -> ()
+  if (not (Iring.is_empty t.sb_pending)) && L1.can_accept t.l1d then begin
+    let slot = Iring.pop t.sb_pending in
+    L1.request t.l1d ~line:t.sb_lines.(slot) ~store:true ~id:(sb_tag lor slot)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Commit                                                              *)
@@ -778,51 +901,44 @@ let commit_stage t =
   let budget = ref t.cfg.Core_config.commit_width in
   let stop = ref false in
   while !budget > 0 && (not !stop) && not (rob_empty t) do
-    match t.rob.(t.rob_head) with
-    | None -> assert false
-    | Some e ->
-      if e.state <> Rs_done then stop := true
+    let idx = t.rob_head in
+    if t.rob_state.(idx) <> rs_done then stop := true
+    else begin
+      let can_retire =
+        match t.rob_uop.(idx).Uop.kind with
+        | Uop.Store _ ->
+          (* Needs a store-buffer slot; the SB drains in background. *)
+          let slot = first_free t.sb in
+          if slot >= 0 then begin
+            t.sb.(slot) <- true;
+            t.sb_lines.(slot) <- t.sq_line.(t.rob_sq.(idx));
+            Iring.push t.sb_pending slot;
+            true
+          end
+          else begin
+            Stats.bump t.ctr.k_sb_full_stalls;
+            false
+          end
+        | _ -> true
+      in
+      if not can_retire then stop := true
       else begin
-        let can_retire =
-          match e.u.Uop.kind with
-          | Uop.Store _ -> (
-            (* Needs a store-buffer slot; the SB drains in background. *)
-            match alloc_sb t with
-            | Some slot ->
-              t.sb.(slot) <- true;
-              (match e.sq_slot with
-              | Some s -> (
-                match t.sq.(s) with
-                | Some sq -> t.sb_lines.(slot) <- sq.sq_line
-                | None -> assert false)
-              | None -> assert false);
-              Queue.add slot t.sb_pending;
-              true
-            | None ->
-              Stats.bump t.ctr.k_sb_full_stalls;
-              false)
-          | _ -> true
-        in
-        if not can_retire then stop := true
-        else begin
-          (match e.old_phys with
-          | Some p -> Queue.add p t.free_list
-          | None -> ());
-          (match e.lq_slot with Some s -> t.lq.(s) <- false | None -> ());
-          (match e.sq_slot with
-          | Some s ->
-            t.sq.(s) <- None;
-            t.sq_head <- (t.sq_head + 1) mod Array.length t.sq;
-            t.sq_count <- t.sq_count - 1
-          | None -> ());
-          t.rob.(t.rob_head) <- None;
-          t.rob_head <- (t.rob_head + 1) mod Array.length t.rob;
-          t.rob_count <- t.rob_count - 1;
-          t.committed <- t.committed + 1;
-          t.on_commit e.u;
-          decr budget
-        end
+        if t.rob_old.(idx) >= 0 then Iring.push t.free_list t.rob_old.(idx);
+        if t.rob_lq.(idx) >= 0 then t.lq.(t.rob_lq.(idx)) <- false;
+        let s = t.rob_sq.(idx) in
+        if s >= 0 then begin
+          t.sq_line.(s) <- -1;
+          t.sq_addr_ready.(s) <- false;
+          t.sq_head <- (t.sq_head + 1) mod Array.length t.sq_line;
+          t.sq_count <- t.sq_count - 1
+        end;
+        t.rob_head <- (t.rob_head + 1) mod rob_size t;
+        t.rob_count <- t.rob_count - 1;
+        t.committed <- t.committed + 1;
+        t.on_commit t.rob_uop.(idx);
+        decr budget
       end
+    end
   done
 
 (* ------------------------------------------------------------------ *)
@@ -831,22 +947,21 @@ let commit_stage t =
 
 let backend_quiescent t =
   rob_empty t
-  && Queue.is_empty t.sb_pending
+  && Iring.is_empty t.sb_pending
   && Array.for_all not t.sb
   && L1.in_flight t.l1d = 0
   && L1.in_flight t.l1i = 0
   && Ptw.active_walks t.ptw = 0
   && t.dtlb_outstanding = 0
-  && !(t.events) = []
+  && t.ev_live = 0
 
 let debug_quiescence t =
   Printf.sprintf
     "rob=%d sbp=%d sb=%b l1d=%d l1i=%d ptw=%d dtlb=%d events=%d wait_ic=%b wait_it=%b"
-    t.rob_count (Queue.length t.sb_pending)
+    t.rob_count (Iring.length t.sb_pending)
     (Array.exists (fun x -> x) t.sb)
     (L1.in_flight t.l1d) (L1.in_flight t.l1i) (Ptw.active_walks t.ptw)
-    t.dtlb_outstanding (List.length !(t.events)) t.fetch_wait_icache
-    t.fetch_wait_itlb
+    t.dtlb_outstanding t.ev_live t.fetch_wait_icache t.fetch_wait_itlb
 
 let purge_stage t =
   match t.purge with
@@ -937,15 +1052,18 @@ let attribute_cycle t ~committed_before =
       else if t.fetch_wait_itlb then 4 (* tlb_walk *)
       else 6 (* other *)
     else begin
-      let e = rob_entry t t.rob_head in
-      match e.u.Uop.kind with
-      | (Uop.Load _ | Uop.Store _) when e.state <> Rs_done ->
+      let idx = t.rob_head in
+      let state = t.rob_state.(idx) in
+      match t.rob_uop.(idx).Uop.kind with
+      | (Uop.Load _ | Uop.Store _) when state <> rs_done ->
         if t.dtlb_outstanding > 0 || Ptw.active_walks t.ptw > 0 then
           4 (* tlb_walk *)
         else begin
-          match (e.u.Uop.kind, e.lq_slot, e.state) with
-          | Uop.Load _, Some s, Rs_issued ->
-            if t.now - t.lq_issued_at.(s) > t.cfg.Core_config.llc_roundtrip_hint
+          match t.rob_uop.(idx).Uop.kind with
+          | Uop.Load _ when state = rs_issued ->
+            if
+              t.now - t.lq_issued_at.(t.rob_lq.(idx))
+              > t.cfg.Core_config.llc_roundtrip_hint
             then 3 (* llc_dram *)
             else 2 (* l1_miss *)
           | _ -> 6
@@ -1014,24 +1132,23 @@ let tick t ~now =
 
 let mem_complete t ~now ~id =
   t.now <- max t.now now;
-  if id land Ptw.id_tag <> 0 then Ptw.mem_response ~now t.ptw ~id
+  if id land Ptw.id_tag <> 0 then begin
+    let token = Ptw.mem_response ~now t.ptw ~id in
+    if token >= 0 then walk_done t token
+  end
   else if id land sb_tag <> 0 then t.sb.(id land lnot sb_tag) <- false
   else begin
-    (* Load completion: find the ROB entry owning this LQ slot. *)
-    let found = ref false in
-    Array.iteri
-      (fun i entry ->
-        match entry with
-        | Some e when (not !found) && e.lq_slot = Some id && e.state = Rs_issued
-          ->
-          found := true;
-          ignore i;
-          e.state <- Rs_done;
-          Histogram.add t.load_lat (now - t.lq_issued_at.(id));
-          set_dst_ready_at t e now
-        | _ -> ())
-      t.rob;
-    if not !found then failwith "Core.mem_complete: orphan load completion"
+    (* Load completion: the ROB entry owning this LQ slot. *)
+    let idx = if id < Array.length t.lq_rob then t.lq_rob.(id) else -1 in
+    if
+      idx < 0
+      || (not (rob_live t idx))
+      || t.rob_lq.(idx) <> id
+      || t.rob_state.(idx) <> rs_issued
+    then failwith "Core.mem_complete: orphan load completion";
+    t.rob_state.(idx) <- rs_done;
+    Histogram.add t.load_lat (now - t.lq_issued_at.(id));
+    set_dst_ready_at t idx now
   end
 
 let icache_complete t ~id =
@@ -1040,7 +1157,7 @@ let icache_complete t ~id =
   if id = 0 then t.fetch_wait_icache <- false
 
 let finished t =
-  t.stream_done && rob_empty t && Fifo.is_empty t.fetch_q
+  t.stream_done && rob_empty t && t.fq_count = 0
   && backend_quiescent t && t.purge = Pp_none
   && not t.purge_requested
 
@@ -1049,58 +1166,31 @@ let finished t =
 (* ------------------------------------------------------------------ *)
 
 let rob_occupancy t = t.rob_count
-
-let iq_occupancy t =
-  Array.fold_left
-    (fun n q -> n + List.length !q)
-    (List.length !(t.iq_mem) + List.length !(t.iq_fp))
-    t.iq_alu
-
+let iq_occupancy t = Array.fold_left ( + ) 0 t.iq_len
 let count_busy a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
 let lq_occupancy t = count_busy t.lq
 let sq_occupancy t = t.sq_count
 let sb_occupancy t = count_busy t.sb
 
+let state_name st =
+  if st = rs_waiting then "waiting" else if st = rs_issued then "issued"
+  else "done"
+
 (* In-flight (renamed, not yet retired) µops oldest-first, with the ROB
    state of each; causal-slice reports render these. *)
 let in_flight_uops t =
-  let n = Array.length t.rob in
-  let rec go i cnt acc =
-    if cnt = 0 then List.rev acc
-    else
-      match t.rob.(i) with
-      | Some e ->
-        let st =
-          match e.state with
-          | Rs_waiting -> "waiting"
-          | Rs_issued -> "issued"
-          | Rs_done -> "done"
-        in
-        go ((i + 1) mod n) (cnt - 1) ((e.u, st) :: acc)
-      | None -> go ((i + 1) mod n) cnt acc
-  in
-  go t.rob_head t.rob_count []
+  List.init t.rob_count (fun k ->
+      let idx = (t.rob_head + k) mod rob_size t in
+      (t.rob_uop.(idx), state_name t.rob_state.(idx)))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / restore                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Deferred-event closures and walker continuations capture the
-   ROB-entry and SQ-entry records themselves, so the checkpoint keeps
-   those records (not copies) together with the values of their mutable
-   fields, and [restore] writes the fields back in place.  A checkpoint
-   is therefore only valid on the [t] it was saved from.  The µop
-   stream, L1s, stats and trace are owned by the machine, which
-   checkpoints them alongside.  [on_commit] is a harness probe, not
-   machine state, and is left untouched. *)
-
-type rob_ck = {
-  rk_entry : rob_entry;
-  rk_state : rob_state;
-  rk_mispredict : bool;
-}
-
-type sq_ck = { qk_entry : sq_entry; qk_addr_ready : bool }
+(* All core state is values in flat arrays and scalars, so a checkpoint
+   is copies of them.  The µop stream, L1s, stats and trace are owned by
+   the machine, which checkpoints them alongside.  [on_commit] is a
+   harness probe, not machine state, and is left untouched. *)
 
 type predictor_ck = {
   pk_btb : Btb.snapshot;
@@ -1109,7 +1199,10 @@ type predictor_ck = {
 }
 
 type checkpoint = {
-  ck_fetch_q : rob_ref list;
+  ck_fq_uop : Uop.t array;
+  ck_fq_mispredict : bool array;
+  ck_fq_head : int;
+  ck_fq_count : int;
   ck_stream_done : bool;
   ck_fetch_stall_until : int;
   ck_fetch_blocked_on_resolve : bool;
@@ -1118,26 +1211,41 @@ type checkpoint = {
   ck_fetch_wait_itlb : bool;
   ck_last_fetch_line : int;
   ck_last_fetch_page : int;
-  ck_rob : rob_ck option array;
+  ck_rob_uop : Uop.t array;
+  ck_rob_state : int array;
+  ck_rob_mispredict : bool array;
+  ck_rob_dst : int array;
+  ck_rob_old : int array;
+  ck_rob_src : int array;
+  ck_rob_lq : int array;
+  ck_rob_sq : int array;
   ck_rob_head : int;
   ck_rob_tail : int;
   ck_rob_count : int;
   ck_map_table : int array;
-  ck_free_list : int list;
+  ck_free_list : Iring.t;
   ck_ready_at : int array;
-  ck_iq_alu : int list array;
-  ck_iq_mem : int list;
-  ck_iq_fp : int list;
+  ck_iq : int array array;
+  ck_iq_len : int array;
   ck_lq : bool array;
-  ck_sq : sq_ck option array;
+  ck_lq_rob : int array;
+  ck_sq_line : int array;
+  ck_sq_addr_ready : bool array;
   ck_sq_head : int;
   ck_sq_tail : int;
   ck_sq_count : int;
   ck_sb : bool array;
   ck_sb_lines : int array;
-  ck_sb_pending : int list;
+  ck_sb_pending : Iring.t;
   ck_dtlb_outstanding : int;
-  ck_events : (int * (unit -> unit)) list;
+  ck_ev_code : int array;
+  ck_ev_seq : int array;
+  ck_ev_next : int array;
+  ck_ev_head : int array;
+  ck_ev_tail : int array;
+  ck_ev_free : int;
+  ck_ev_live : int;
+  ck_ev_next_seq : int;
   ck_purge : purge_phase;
   ck_purge_kind : purge_kind;
   ck_saved_predictors : predictor_ctx option;
@@ -1159,7 +1267,10 @@ type checkpoint = {
 
 let save ?(omit_predictors = false) t =
   {
-    ck_fetch_q = Fifo.to_list t.fetch_q;
+    ck_fq_uop = Array.copy t.fq_uop;
+    ck_fq_mispredict = Array.copy t.fq_mispredict;
+    ck_fq_head = t.fq_head;
+    ck_fq_count = t.fq_count;
     ck_stream_done = t.stream_done;
     ck_fetch_stall_until = t.fetch_stall_until;
     ck_fetch_blocked_on_resolve = t.fetch_blocked_on_resolve;
@@ -1168,33 +1279,41 @@ let save ?(omit_predictors = false) t =
     ck_fetch_wait_itlb = t.fetch_wait_itlb;
     ck_last_fetch_line = t.last_fetch_line;
     ck_last_fetch_page = t.last_fetch_page;
-    ck_rob =
-      Array.map
-        (Option.map (fun e ->
-             { rk_entry = e; rk_state = e.state; rk_mispredict = e.mispredict }))
-        t.rob;
+    ck_rob_uop = Array.copy t.rob_uop;
+    ck_rob_state = Array.copy t.rob_state;
+    ck_rob_mispredict = Array.copy t.rob_mispredict;
+    ck_rob_dst = Array.copy t.rob_dst;
+    ck_rob_old = Array.copy t.rob_old;
+    ck_rob_src = Array.copy t.rob_src;
+    ck_rob_lq = Array.copy t.rob_lq;
+    ck_rob_sq = Array.copy t.rob_sq;
     ck_rob_head = t.rob_head;
     ck_rob_tail = t.rob_tail;
     ck_rob_count = t.rob_count;
     ck_map_table = Array.copy t.map_table;
-    ck_free_list = List.of_seq (Queue.to_seq t.free_list);
+    ck_free_list = Iring.copy t.free_list;
     ck_ready_at = Array.copy t.ready_at;
-    ck_iq_alu = Array.map (fun q -> !q) t.iq_alu;
-    ck_iq_mem = !(t.iq_mem);
-    ck_iq_fp = !(t.iq_fp);
+    ck_iq = Array.map Array.copy t.iq;
+    ck_iq_len = Array.copy t.iq_len;
     ck_lq = Array.copy t.lq;
-    ck_sq =
-      Array.map
-        (Option.map (fun s -> { qk_entry = s; qk_addr_ready = s.sq_addr_ready }))
-        t.sq;
+    ck_lq_rob = Array.copy t.lq_rob;
+    ck_sq_line = Array.copy t.sq_line;
+    ck_sq_addr_ready = Array.copy t.sq_addr_ready;
     ck_sq_head = t.sq_head;
     ck_sq_tail = t.sq_tail;
     ck_sq_count = t.sq_count;
     ck_sb = Array.copy t.sb;
     ck_sb_lines = Array.copy t.sb_lines;
-    ck_sb_pending = List.of_seq (Queue.to_seq t.sb_pending);
+    ck_sb_pending = Iring.copy t.sb_pending;
     ck_dtlb_outstanding = t.dtlb_outstanding;
-    ck_events = !(t.events);
+    ck_ev_code = Array.copy t.ev_code;
+    ck_ev_seq = Array.copy t.ev_seq;
+    ck_ev_next = Array.copy t.ev_next;
+    ck_ev_head = Array.copy t.ev_head;
+    ck_ev_tail = Array.copy t.ev_tail;
+    ck_ev_free = t.ev_free;
+    ck_ev_live = t.ev_live;
+    ck_ev_next_seq = t.ev_next_seq;
     ck_purge = t.purge;
     ck_purge_kind = t.purge_kind;
     ck_saved_predictors = t.saved_predictors;
@@ -1222,8 +1341,13 @@ let save ?(omit_predictors = false) t =
     ck_purge_lat = Histogram.copy t.purge_lat;
   }
 
+let blit src dst = Array.blit src 0 dst 0 (Array.length dst)
+
 let restore t ck =
-  Fifo.assign t.fetch_q ck.ck_fetch_q;
+  blit ck.ck_fq_uop t.fq_uop;
+  blit ck.ck_fq_mispredict t.fq_mispredict;
+  t.fq_head <- ck.ck_fq_head;
+  t.fq_count <- ck.ck_fq_count;
   t.stream_done <- ck.ck_stream_done;
   t.fetch_stall_until <- ck.ck_fetch_stall_until;
   t.fetch_blocked_on_resolve <- ck.ck_fetch_blocked_on_resolve;
@@ -1232,45 +1356,41 @@ let restore t ck =
   t.fetch_wait_itlb <- ck.ck_fetch_wait_itlb;
   t.last_fetch_line <- ck.ck_last_fetch_line;
   t.last_fetch_page <- ck.ck_last_fetch_page;
-  Array.iteri
-    (fun i slot ->
-      t.rob.(i) <-
-        Option.map
-          (fun rk ->
-            rk.rk_entry.state <- rk.rk_state;
-            rk.rk_entry.mispredict <- rk.rk_mispredict;
-            rk.rk_entry)
-          slot)
-    ck.ck_rob;
+  blit ck.ck_rob_uop t.rob_uop;
+  blit ck.ck_rob_state t.rob_state;
+  blit ck.ck_rob_mispredict t.rob_mispredict;
+  blit ck.ck_rob_dst t.rob_dst;
+  blit ck.ck_rob_old t.rob_old;
+  blit ck.ck_rob_src t.rob_src;
+  blit ck.ck_rob_lq t.rob_lq;
+  blit ck.ck_rob_sq t.rob_sq;
   t.rob_head <- ck.ck_rob_head;
   t.rob_tail <- ck.ck_rob_tail;
   t.rob_count <- ck.ck_rob_count;
-  Array.blit ck.ck_map_table 0 t.map_table 0 (Array.length t.map_table);
-  Queue.clear t.free_list;
-  List.iter (fun p -> Queue.add p t.free_list) ck.ck_free_list;
-  Array.blit ck.ck_ready_at 0 t.ready_at 0 (Array.length t.ready_at);
-  Array.iteri (fun i q -> t.iq_alu.(i) := q) ck.ck_iq_alu;
-  t.iq_mem := ck.ck_iq_mem;
-  t.iq_fp := ck.ck_iq_fp;
-  Array.blit ck.ck_lq 0 t.lq 0 (Array.length t.lq);
-  Array.iteri
-    (fun i slot ->
-      t.sq.(i) <-
-        Option.map
-          (fun qk ->
-            qk.qk_entry.sq_addr_ready <- qk.qk_addr_ready;
-            qk.qk_entry)
-          slot)
-    ck.ck_sq;
+  blit ck.ck_map_table t.map_table;
+  Iring.assign t.free_list ~from:ck.ck_free_list;
+  blit ck.ck_ready_at t.ready_at;
+  Array.iteri (fun q a -> blit a t.iq.(q)) ck.ck_iq;
+  blit ck.ck_iq_len t.iq_len;
+  blit ck.ck_lq t.lq;
+  blit ck.ck_lq_rob t.lq_rob;
+  blit ck.ck_sq_line t.sq_line;
+  blit ck.ck_sq_addr_ready t.sq_addr_ready;
   t.sq_head <- ck.ck_sq_head;
   t.sq_tail <- ck.ck_sq_tail;
   t.sq_count <- ck.ck_sq_count;
-  Array.blit ck.ck_sb 0 t.sb 0 (Array.length t.sb);
-  Array.blit ck.ck_sb_lines 0 t.sb_lines 0 (Array.length t.sb_lines);
-  Queue.clear t.sb_pending;
-  List.iter (fun s -> Queue.add s t.sb_pending) ck.ck_sb_pending;
+  blit ck.ck_sb t.sb;
+  blit ck.ck_sb_lines t.sb_lines;
+  Iring.assign t.sb_pending ~from:ck.ck_sb_pending;
   t.dtlb_outstanding <- ck.ck_dtlb_outstanding;
-  t.events := ck.ck_events;
+  blit ck.ck_ev_code t.ev_code;
+  blit ck.ck_ev_seq t.ev_seq;
+  blit ck.ck_ev_next t.ev_next;
+  blit ck.ck_ev_head t.ev_head;
+  blit ck.ck_ev_tail t.ev_tail;
+  t.ev_free <- ck.ck_ev_free;
+  t.ev_live <- ck.ck_ev_live;
+  t.ev_next_seq <- ck.ck_ev_next_seq;
   t.purge <- ck.ck_purge;
   t.purge_kind <- ck.ck_purge_kind;
   t.saved_predictors <- ck.ck_saved_predictors;
@@ -1290,8 +1410,7 @@ let restore t ck =
   Ptw.restore t.ptw ck.ck_ptw;
   t.last_cpi <- ck.ck_last_cpi;
   t.purge_started <- ck.ck_purge_started;
-  Array.blit ck.ck_lq_issued_at 0 t.lq_issued_at 0
-    (Array.length t.lq_issued_at);
+  blit ck.ck_lq_issued_at t.lq_issued_at;
   Histogram.restore ~into:t.load_lat ck.ck_load_lat;
   Histogram.restore ~into:t.purge_lat ck.ck_purge_lat
 
@@ -1305,11 +1424,9 @@ let restore t ck =
    and the committed count.  Renaming state (map table, free list,
    ready_at), predictors, TLB/translation-cache contents and
    [lq_issued_at] are excluded: they only change in cycles that also
-   move an included structure.  Event closures cannot be hashed — their
-   scheduled times are folded instead, which is sound because every
-   retry path reschedules at a strictly later cycle. *)
-
-let rob_state_code = function Rs_waiting -> 0 | Rs_issued -> 1 | Rs_done -> 2
+   move an included structure.  Events fold as their due times, newest
+   first; that is sound because every retry path reschedules at a
+   strictly later cycle.  Issue queues fold newest first. *)
 
 let purge_code = function
   | Pp_none -> 0
@@ -1318,14 +1435,38 @@ let purge_code = function
 
 let purge_kind_code = function Pk_enter -> 0 | Pk_exit -> 1 | Pk_external -> 2
 
+let opt_int s v =
+  Statesig.present s (v >= 0);
+  if v >= 0 then Statesig.int s v
+
+let fold_iq s t q =
+  let n = t.iq_len.(q) in
+  Statesig.init s n (fun s k -> Statesig.int s t.iq.(q).(n - 1 - k))
+
+(* Pending events' due times, newest first.  Between ticks the bucket of
+   [t.now] is empty, so bucket [b] is due at the next cycle after [t.now]
+   congruent to [b]. *)
+let fold_events s t =
+  let pending = ref [] in
+  for b = 0 to wheel_size - 1 do
+    let due = t.now + ((b - t.now) land wheel_mask) in
+    let i = ref t.ev_head.(b) in
+    while !i >= 0 do
+      pending := (t.ev_seq.(!i), due) :: !pending;
+      i := t.ev_next.(!i)
+    done
+  done;
+  Statesig.list s
+    (fun s (_, due) -> Statesig.int s due)
+    (List.sort (fun (a, _) (b, _) -> compare b a) !pending)
+
 let fold_state s t =
   let open Statesig in
   field s "fq";
-  fifo s
-    (fun s r ->
-      int s (Hashtbl.hash r.pre_uop);
-      bool s r.pre_mispredict)
-    t.fetch_q;
+  init s t.fq_count (fun s k ->
+      let i = (t.fq_head + k) mod fetch_queue_depth in
+      int s (Hashtbl.hash t.fq_uop.(i));
+      bool s t.fq_mispredict.(i));
   field s "sd"; bool s t.stream_done;
   field s "fsu"; int s t.fetch_stall_until;
   field s "fbr"; bool s t.fetch_blocked_on_resolve;
@@ -1335,41 +1476,46 @@ let fold_state s t =
   field s "lfl"; int s t.last_fetch_line;
   field s "lfp"; int s t.last_fetch_page;
   field s "rob"; int s t.rob_head; int s t.rob_tail; int s t.rob_count;
-  array s
-    (fun s e ->
-      opt s
-        (fun s e ->
-          field s "u"; int s (Hashtbl.hash e.u);
-          field s "d"; opt s int e.dst_phys;
-          field s "o"; opt s int e.old_phys;
-          field s "src"; list s int e.src_phys;
-          field s "lq"; opt s int e.lq_slot;
-          field s "sq"; opt s int e.sq_slot;
-          field s "st"; int s (rob_state_code e.state);
-          field s "m"; bool s e.mispredict)
-        e)
-    t.rob;
-  field s "iq"; array s (fun s q -> list s int !q) t.iq_alu;
-  list s int !(t.iq_mem);
-  list s int !(t.iq_fp);
+  init s (rob_size t) (fun s i ->
+      let live = rob_live t i in
+      present s live;
+      if live then begin
+        field s "u"; int s (Hashtbl.hash t.rob_uop.(i));
+        field s "d"; opt_int s t.rob_dst.(i);
+        field s "o"; opt_int s t.rob_old.(i);
+        field s "src";
+        let nsrc = if t.rob_src.(2 * i) < 0 then 0
+          else if t.rob_src.((2 * i) + 1) < 0 then 1 else 2 in
+        init s nsrc (fun s k -> int s t.rob_src.((2 * i) + k));
+        field s "lq"; opt_int s t.rob_lq.(i);
+        field s "sq"; opt_int s t.rob_sq.(i);
+        field s "st"; int s t.rob_state.(i);
+        field s "m"; bool s t.rob_mispredict.(i)
+      end);
+  field s "iq";
+  init s t.cfg.Core_config.alu_pipes (fun s q -> fold_iq s t q);
+  fold_iq s t (mem_queue t);
+  fold_iq s t (fp_queue t);
   field s "lq"; array s bool t.lq;
   field s "sq"; int s t.sq_head; int s t.sq_tail; int s t.sq_count;
-  array s
-    (fun s e ->
-      opt s
-        (fun s e ->
-          int s e.sq_line;
-          bool s e.sq_addr_ready)
-        e)
-    t.sq;
+  init s (Array.length t.sq_line) (fun s i ->
+      let line = t.sq_line.(i) in
+      present s (line >= 0);
+      if line >= 0 then begin
+        int s line;
+        bool s t.sq_addr_ready.(i)
+      end);
   (* A free slot's line is stale: fold it only while the slot is busy. *)
   field s "sb";
   Array.iteri
-    (fun k busy -> opt s int (if busy then Some t.sb_lines.(k) else None))
+    (fun k busy ->
+      present s busy;
+      if busy then int s t.sb_lines.(k))
     t.sb;
-  field s "sbp"; queue s int t.sb_pending;
+  field s "sbp";
+  init s (Iring.length t.sb_pending) (fun s k -> int s (Iring.get t.sb_pending k));
   field s "dtlb"; int s t.dtlb_outstanding;
-  field s "ev"; list s (fun s (at, _) -> int s at) !(t.events);
+  field s "ev"; fold_events s t;
   field s "pg"; int s (purge_code t.purge);
   field s "pk"; int s (purge_kind_code t.purge_kind);
   field s "sp"; bool s (t.saved_predictors <> None);

@@ -6,7 +6,7 @@ type walk = {
   mutable levels_left : int list; (* levels still to read, root first *)
   mutable waiting_mem : bool;
   mutable reads : int;
-  on_done : reads:int -> unit;
+  token : int; (* the owner's name for this walk, returned when it ends *)
 }
 
 type t = {
@@ -54,7 +54,7 @@ let pte_line t ~level ~vpage =
   (* 8 PTEs per 64-byte line. *)
   t.pt_base_line + ((2 - level) * t.window) + (p / 8 mod t.window)
 
-let start ~now t ~vpage ~on_done =
+let start ~now t ~vpage ~token =
   if not (can_start t) then failwith "Ptw.start: no free walk slot";
   if Trace.active t.trace Trace.Ptw then
     Trace.emit t.trace ~now (Trace.Walk_start { core = t.core; vpage });
@@ -77,26 +77,22 @@ let start ~now t ~vpage ~on_done =
   t.slots.(slot) <-
     Some
       { vpage; started_at = now; levels_left; waiting_mem = false; reads = 0;
-        on_done }
+        token }
 
 let tick t ~issue =
   (* Issue at most one PTE read per cycle, lowest slot first. *)
-  let issued = ref false in
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | Some w when (not !issued) && (not w.waiting_mem) && w.levels_left <> []
-        -> (
-        match w.levels_left with
-        | level :: _ ->
-          let line = pte_line t ~level ~vpage:w.vpage in
-          if issue ~line ~id:(id_tag lor i) then begin
-            w.waiting_mem <- true;
-            issued := true
-          end
-        | [] -> ())
-      | _ -> ())
-    t.slots
+  let i = ref 0 in
+  while !i < Array.length t.slots do
+    (match t.slots.(!i) with
+    | Some ({ waiting_mem = false; levels_left = level :: _; _ } as w) ->
+      let line = pte_line t ~level ~vpage:w.vpage in
+      if issue ~line ~id:(id_tag lor !i) then begin
+        w.waiting_mem <- true;
+        i := Array.length t.slots
+      end
+    | _ -> ());
+    incr i
+  done
 
 let mem_response ~now t ~id =
   let slot = id land lnot id_tag in
@@ -110,7 +106,8 @@ let mem_response ~now t ~id =
     | [] -> assert false
     | _ :: rest ->
       w.levels_left <- rest;
-      if rest = [] then begin
+      if rest <> [] then -1
+      else begin
         (* Walk complete: populate the translation cache. *)
         Trans_cache.insert t.tcache ~level:0
           ~prefix:(prefix ~level:2 ~vpage:w.vpage);
@@ -121,55 +118,26 @@ let mem_response ~now t ~id =
           Trace.emit t.trace ~now
             (Trace.Walk_end { core = t.core; vpage = w.vpage; reads = w.reads });
         t.slots.(slot) <- None;
-        w.on_done ~reads:w.reads
+        w.token
       end)
 
-(* Checkpoint/restore.  A walk record carries an [on_done] closure that
-   captures the owning core's heap state, so slots cannot be rebuilt from
-   values: the checkpoint keeps the {e original} walk records and copies of
-   their mutable fields, and [restore] writes those fields back in place.
-   Only valid on the same [t] the checkpoint came from.  The translation
-   cache is shared (passed in at [create]) and checkpointed by its owner. *)
-type slot_ck = {
-  sk_walk : walk;
-  sk_levels_left : int list;
-  sk_waiting_mem : bool;
-  sk_reads : int;
-}
-
+(* Checkpoint/restore: walk records hold only values, so the slots are
+   copied on save and again on restore (a checkpoint stays reusable).
+   The translation cache is shared (passed in at [create]) and
+   checkpointed by its owner. *)
 type checkpoint = {
-  ck_slots : slot_ck option array;
+  ck_slots : walk option array;
   ck_walk_lat : Histogram.t;
 }
 
+let copy_walk w = { w with vpage = w.vpage }
+let copy_slots = Array.map (Option.map copy_walk)
+
 let save t =
-  {
-    ck_slots =
-      Array.map
-        (Option.map (fun w ->
-             {
-               sk_walk = w;
-               sk_levels_left = w.levels_left;
-               sk_waiting_mem = w.waiting_mem;
-               sk_reads = w.reads;
-             }))
-        t.slots;
-    ck_walk_lat = Histogram.copy t.walk_lat;
-  }
+  { ck_slots = copy_slots t.slots; ck_walk_lat = Histogram.copy t.walk_lat }
 
 let restore t ck =
-  Array.iteri
-    (fun i s ->
-      t.slots.(i) <-
-        Option.map
-          (fun sk ->
-            let w = sk.sk_walk in
-            w.levels_left <- sk.sk_levels_left;
-            w.waiting_mem <- sk.sk_waiting_mem;
-            w.reads <- sk.sk_reads;
-            w)
-          s)
-    ck.ck_slots;
+  Array.blit (copy_slots ck.ck_slots) 0 t.slots 0 t.max_walks;
   Histogram.restore ~into:t.walk_lat ck.ck_walk_lat
 
 (* Structure state (quiet-cycle detector): the walk slots.  The

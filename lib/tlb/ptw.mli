@@ -9,8 +9,9 @@
 
     The walker issues at most one memory request per cycle through the
     [issue] callback (which may refuse; the walker retries).  The owner
-    reports completions with {!mem_response}.  Finished walks invoke their
-    continuation with the number of memory reads performed. *)
+    reports completions with {!mem_response}, which hands back the
+    finished walk's token.  A walk holds no closure: the owner names it
+    with an int token at {!start} and maps the token back itself. *)
 
 type t
 
@@ -31,18 +32,20 @@ val create :
 val can_start : t -> bool
 val active_walks : t -> int
 
-(** [start ~now t ~vpage ~on_done] begins a walk at cycle [now];
-    [on_done ~reads] fires when it finishes.  [now] stamps the walk for
-    the latency histogram and trace (observability only).  Raises if
-    [can_start] is false. *)
-val start : now:int -> t -> vpage:int -> on_done:(reads:int -> unit) -> unit
+(** [start ~now t ~vpage ~token] begins a walk at cycle [now];
+    {!mem_response} returns [token] (a non-negative int) when the walk
+    finishes.  [now] stamps the walk for the latency histogram and trace
+    (observability only).  Raises if [can_start] is false. *)
+val start : now:int -> t -> vpage:int -> token:int -> unit
 
 (** [tick t ~issue] gives the walker one cycle; it calls
     [issue ~line ~id] at most once ([issue] returns acceptance). *)
 val tick : t -> issue:(line:int -> id:int -> bool) -> unit
 
-(** [mem_response ~now t ~id] — a PTE read completed at cycle [now]. *)
-val mem_response : now:int -> t -> id:int -> unit
+(** [mem_response ~now t ~id] — a PTE read completed at cycle [now].
+    Returns the token of the walk this read finished, or [-1] when the
+    walk still has levels to read. *)
+val mem_response : now:int -> t -> id:int -> int
 
 (** Walk start-to-finish latency distribution, in cycles. *)
 val walk_latency : t -> Histogram.t
@@ -61,11 +64,9 @@ val id_tag : int
     only change when a walk also progresses. *)
 val fold_state : Statesig.sink -> t -> unit
 
-(** Snapshot of the in-flight walk slots and the latency histogram.  Walk
-    continuations capture the owning core, so [restore] rewinds the walk
-    records {e in place} — it is only valid on the same [t] that [save]
-    produced the checkpoint from.  The translation cache is shared state
-    checkpointed by its owner. *)
+(** Value snapshot of the in-flight walk slots and the latency
+    histogram.  The translation cache is shared state checkpointed by its
+    owner. *)
 type checkpoint
 
 val save : t -> checkpoint

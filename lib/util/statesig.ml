@@ -97,7 +97,6 @@ let seq s len iter f xs =
   | Dump b -> dump_seq s b iter f xs
 
 let fifo s f q = seq s (Fifo.length q) Fifo.iter f q
-let queue s f q = seq s (Queue.length q) Queue.iter f q
 
 let rec hash_list s f = function
   | [] -> ()
@@ -120,6 +119,26 @@ let array s f xs =
       f s xs.(i)
     done
   | Dump b -> dump_seq s b Array.iter f xs
+
+let init s n f =
+  match s.mode with
+  | Hash ->
+    s.h <- mix s.h n;
+    for k = 0 to n - 1 do
+      f s k
+    done
+  | Dump b ->
+    dump_seq s b
+      (fun g () ->
+        for k = 0 to n - 1 do
+          g k
+        done)
+      f ()
+
+let[@inline] present s b =
+  match s.mode with
+  | Hash -> s.h <- mix s.h (Bool.to_int b)
+  | Dump b' -> if not b then scalar s b' "-"
 
 let[@inline] opt s f = function
   | None -> (

@@ -43,9 +43,21 @@ val field : sink -> string -> unit
 val list : sink -> (sink -> 'a -> unit) -> 'a list -> unit
 
 val array : sink -> (sink -> 'a -> unit) -> 'a array -> unit
+
+(** [init s n f] folds a length-[n] sequence whose element [k] is folded
+    by [f s k] — exactly what [list s g (List.init n h)] folds when
+    [g s (h k)] is [f s k].  Flat structures (rings, parallel arrays)
+    fold through it without building the list. *)
+val init : sink -> int -> (sink -> int -> unit) -> unit
+
 val fifo : sink -> (sink -> 'a -> unit) -> 'a Fifo.t -> unit
-val queue : sink -> (sink -> 'a -> unit) -> 'a Queue.t -> unit
 
 (** [opt s f o] — a presence bit, then [f] on the value; the dump shows
     [None] as [-]. *)
 val opt : sink -> (sink -> 'a -> unit) -> 'a option -> unit
+
+(** [present s b] — {!opt}'s presence bit alone: [present s false] folds
+    what [opt s f None] folds, and [present s true] followed by the
+    value's fold is [opt s f (Some v)].  For slots whose emptiness is a
+    sentinel rather than an option. *)
+val present : sink -> bool -> unit

@@ -481,6 +481,39 @@ let test_l1_idle_tick_no_alloc () =
   let complete _ = () in
   check_no_alloc "L1.tick empty" (fun now -> L1.tick l1 ~now ~complete)
 
+(* An L1 hit — the fetch-side [try_hit] and [probe], and a request that
+   hits and completes through [tick] — allocates nothing once its line
+   is resident. *)
+let test_l1_hit_no_alloc () =
+  let stats = Stats.create () in
+  let links = [| Link.create ~depth:4 |] in
+  let llc =
+    Llc.create (Llc.default_config ~cores:1) ~security:Llc.baseline_security
+      ~links ~dram:(const_controller stats) ~stats
+  in
+  let l1 = L1.create L1.default_config ~link:links.(0) ~stats ~name:"l1d.0" in
+  let completed = ref 0 in
+  let complete _ = incr completed in
+  let cycle now =
+    L1.tick l1 ~now ~complete;
+    Llc.tick llc ~now
+  in
+  L1.request l1 ~line:5 ~store:true ~id:0;
+  let now = ref 0 in
+  while !completed = 0 && !now < 2000 do
+    cycle !now;
+    incr now
+  done;
+  check_int "the line arrived" 1 !completed;
+  let base = !now in
+  check_no_alloc "L1 hit" (fun k ->
+      ignore (L1.try_hit l1 ~line:5);
+      ignore (L1.probe l1 ~line:5);
+      if L1.can_accept l1 then L1.request l1 ~line:5 ~store:(k land 1 = 0) ~id:k;
+      cycle (base + k));
+  check_bool "every request hit" true (Stats.get stats "l1d.0.hits" > idle_ticks);
+  check_int "one miss" 1 (Stats.get stats "l1d.0.misses")
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -532,6 +565,8 @@ let () =
             test_dram_idle_tick_no_alloc;
           Alcotest.test_case "idle L1.tick allocates nothing" `Quick
             test_l1_idle_tick_no_alloc;
+          Alcotest.test_case "an L1 hit allocates nothing" `Quick
+            test_l1_hit_no_alloc;
         ] );
       ( "properties",
         qsuite

@@ -384,6 +384,97 @@ let test_nonspec_serializes () =
     true
     (nonspec_cycles > base_cycles * 2)
 
+(* ------------------------------------------------------------------ *)
+(* Events and allocation                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Deferred events live on a timing wheel that only takes delays in
+   [1, 32): a zero-cycle or over-long ALU latency is rejected at issue
+   rather than silently run a cycle late or a lap early. *)
+let test_event_delay_bounds () =
+  List.iter
+    (fun latency ->
+      match run_core [ Uop.alu ~latency ~pc:0x1000 ~dst:2 ~srcs:[] () ] with
+      | _ -> Alcotest.failf "latency %d accepted" latency
+      | exception Invalid_argument _ -> ())
+    [ 0; 32 ];
+  let _, cycles, _ =
+    run_core [ Uop.alu ~latency:31 ~pc:0x1000 ~dst:2 ~srcs:[] () ]
+  in
+  check_bool "the longest delay runs" true (cycles > 31)
+
+(* Minor words per call of [f] over [n] calls, less what reading
+   [Gc.minor_words] costs (measured on an empty loop). *)
+let minor_words_per_call f n =
+  let measure g =
+    let w0 = Gc.minor_words () in
+    for k = 1 to n do
+      g k
+    done;
+    Gc.minor_words () -. w0
+  in
+  let probe = measure (fun _ -> ()) in
+  (measure f -. probe) /. float_of_int n
+
+(* A warmed core over a pre-built µop array — ALU work, L1-hit loads and
+   stores, and a loop branch the predictors get right — allocates
+   nothing per cycle, L1s and LLC included. *)
+let test_warm_tick_allocates_nothing () =
+  let body =
+    [|
+      Uop.alu ~pc:0x1000 ~dst:2 ~srcs:[] ();
+      Uop.load ~pc:0x1004 ~addr:0x8000 ~dst:3 ~srcs:[ 2 ] ();
+      Uop.alu ~pc:0x1008 ~dst:4 ~srcs:[ 3 ] ();
+      Uop.store ~pc:0x100C ~addr:0x8040 ~srcs:[ 4; 2 ] ();
+      Uop.load ~pc:0x1010 ~addr:0x8088 ~dst:5 ~srcs:[] ();
+      Uop.branch ~pc:0x1014 ~taken:true ~target:0x1000 ~srcs:[ 5 ] ();
+    |]
+  in
+  let uops = Array.map Option.some body in
+  let next = ref 0 in
+  let stream () =
+    let u = uops.(!next) in
+    next := (!next + 1) mod Array.length uops;
+    u
+  in
+  let stats = Stats.create () in
+  let links = [| Link.create ~depth:4; Link.create ~depth:4 |] in
+  let dram = Controller.constant ~latency:120 ~max_outstanding:24 ~stats () in
+  let llc =
+    Llc.create (Llc.default_config ~cores:2) ~security:Llc.baseline_security
+      ~links ~dram ~stats
+  in
+  let l1d = L1.create L1.default_config ~link:links.(0) ~stats ~name:"l1d" in
+  let l1i = L1.create L1.default_config ~link:links.(1) ~stats ~name:"l1i" in
+  let core =
+    Core.create Core_config.default ~l1i ~l1d ~stream ~stats
+      ~pt_base_line:(16 * 1024 * 1024 / 64)
+  in
+  let cycle = ref 0 in
+  let dcomplete id = Core.mem_complete core ~now:!cycle ~id in
+  let icomplete id = Core.icache_complete core ~id in
+  let step _ =
+    Core.tick core ~now:!cycle;
+    L1.tick l1d ~now:!cycle ~complete:dcomplete;
+    L1.tick l1i ~now:!cycle ~complete:icomplete;
+    Llc.tick llc ~now:!cycle;
+    incr cycle
+  in
+  for k = 1 to 20_000 do
+    step k
+  done;
+  let committed = Core.committed_instructions core in
+  let mispredicts = Stats.get stats "core.mispredicts" in
+  let hits = Stats.get stats "l1d.hits" in
+  let words = minor_words_per_call step 10_000 in
+  check_bool "the core made progress" true
+    (Core.committed_instructions core - committed > 10_000);
+  check_int "no mispredicts while measured" mispredicts
+    (Stats.get stats "core.mispredicts");
+  check_bool "loads and stores hit the L1D" true
+    (Stats.get stats "l1d.hits" - hits > 5_000);
+  Alcotest.(check (float 0.0)) "minor words per cycle" 0.0 words
+
 let () =
   Alcotest.run "mi6_ooo"
     [
@@ -428,4 +519,11 @@ let () =
             test_save_restore_reduces_flush_cost;
         ] );
       ("nonspec", [ Alcotest.test_case "serializes" `Quick test_nonspec_serializes ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "event delays outside [1, 32) rejected" `Quick
+            test_event_delay_bounds;
+          Alcotest.test_case "warm Core.tick allocates nothing" `Quick
+            test_warm_tick_allocates_nothing;
+        ] );
     ]

@@ -72,11 +72,14 @@ let test_trans_cache () =
   Trans_cache.flush tc;
   check_int "flush empties" 0 (Trans_cache.occupancy tc)
 
-(* Walker driven against an always-accepting 1-cycle memory. *)
+(* Walker driven against an always-accepting 1-cycle memory.  A walk's
+   reads are the responses its slot received before it returned its
+   token. *)
 let run_walk ?(accept = fun ~line:_ -> true) ptw ~vpage =
   let result = ref None in
-  Ptw.start ~now:0 ptw ~vpage ~on_done:(fun ~reads -> result := Some reads);
+  Ptw.start ~now:0 ptw ~vpage ~token:7;
   let pending = Queue.create () in
+  let reads = ref 0 in
   let now = ref 0 in
   while !result = None && !now < 100 do
     incr now;
@@ -87,8 +90,14 @@ let run_walk ?(accept = fun ~line:_ -> true) ptw ~vpage =
         end
         else false);
     (* Respond to one outstanding read per cycle. *)
-    if not (Queue.is_empty pending) then
-      Ptw.mem_response ~now:!now ptw ~id:(Queue.pop pending)
+    if not (Queue.is_empty pending) then begin
+      incr reads;
+      match Ptw.mem_response ~now:!now ptw ~id:(Queue.pop pending) with
+      | -1 -> ()
+      | token ->
+        check_int "the walk's own token" 7 token;
+        result := Some !reads
+    end
   done;
   match !result with
   | Some reads -> reads
@@ -133,10 +142,9 @@ let test_ptw_backpressure_retries () =
 
 let test_ptw_concurrent_walks () =
   let ptw, _ = make_ptw () in
-  let done1 = ref None and done2 = ref None in
-  Ptw.start ~now:0 ptw ~vpage:0x1000 ~on_done:(fun ~reads -> done1 := Some reads);
-  Ptw.start ~now:0 ptw ~vpage:0x2000000 ~on_done:(fun ~reads ->
-      done2 := Some reads);
+  let reads = Hashtbl.create 4 and finished = Hashtbl.create 4 in
+  Ptw.start ~now:0 ptw ~vpage:0x1000 ~token:1;
+  Ptw.start ~now:0 ptw ~vpage:0x2000000 ~token:2;
   check_bool "slots exhausted" false (Ptw.can_start ptw);
   check_int "two active" 2 (Ptw.active_walks ptw);
   let pending = Queue.create () in
@@ -144,11 +152,18 @@ let test_ptw_concurrent_walks () =
     Ptw.tick ptw ~issue:(fun ~line:_ ~id ->
         Queue.add id pending;
         true);
-    if not (Queue.is_empty pending) then
-      Ptw.mem_response ~now ptw ~id:(Queue.pop pending)
+    if not (Queue.is_empty pending) then begin
+      let id = Queue.pop pending in
+      let n = 1 + Option.value ~default:0 (Hashtbl.find_opt reads id) in
+      match Ptw.mem_response ~now ptw ~id with
+      | -1 -> Hashtbl.replace reads id n
+      | token ->
+        Hashtbl.replace finished token n;
+        Hashtbl.remove reads id
+    end
   done;
-  check_bool "walk 1 done" true (!done1 = Some 3);
-  check_bool "walk 2 done" true (!done2 = Some 3);
+  check_bool "walk 1 done" true (Hashtbl.find_opt finished 1 = Some 3);
+  check_bool "walk 2 done" true (Hashtbl.find_opt finished 2 = Some 3);
   check_int "slots free again" 0 (Ptw.active_walks ptw)
 
 (* LRU property: the most recently touched entry of a fully associative

@@ -52,6 +52,36 @@ let test_fifo_wraparound_iter () =
   Fifo.enq q 6;
   Alcotest.(check (list int)) "to_list oldest first" [ 3; 4; 5; 6 ] (Fifo.to_list q)
 
+(* An int ring behaves like a list queue under any op sequence, growing
+   past its initial capacity; a copy is independent of the original. *)
+let prop_iring_model =
+  QCheck.Test.make ~name:"iring matches list model" ~count:300
+    QCheck.(pair (int_range 1 4) (small_list (option small_int)))
+    (fun (cap, ops) ->
+      let r = Iring.create ~capacity:cap in
+      let model =
+        List.fold_left
+          (fun model op ->
+            match op with
+            | Some v ->
+              Iring.push r v;
+              model @ [ v ]
+            | None -> (
+              match model with
+              | [] -> []
+              | x :: rest ->
+                if Iring.pop r <> x then QCheck.Test.fail_report "pop order";
+                rest))
+          [] ops
+      in
+      let snapshot = Iring.copy r in
+      Iring.push r 99;
+      let contents r = List.init (Iring.length r) (Iring.get r) in
+      contents snapshot = model
+      && contents r = model @ [ 99 ]
+      && (Iring.assign r ~from:snapshot;
+          contents r = model))
+
 (* A FIFO behaves like a list queue under any valid op sequence. *)
 let prop_fifo_model =
   QCheck.Test.make ~name:"fifo matches list model" ~count:300
@@ -499,6 +529,27 @@ let test_statesig_list_boundary () =
   check_bool "signatures differ" true (sig_a <> sig_b);
   check_bool "dumps differ" true (dump_a <> dump_b)
 
+(* [init] and [present] stand in for a list and an option without
+   building them, so they must fold exactly what those fold, in both
+   views. *)
+let test_statesig_flat_equivalents () =
+  List.iter
+    (fun xs ->
+      check_bool "init folds as list" true
+        (both (fun s -> Statesig.list s Statesig.int xs)
+        = both (fun s ->
+              Statesig.init s (List.length xs) (fun s k ->
+                  Statesig.int s (List.nth xs k)))))
+    [ []; [ 7 ]; [ 1; -2; 3 ] ];
+  List.iter
+    (fun o ->
+      check_bool "present folds as opt" true
+        (both (fun s -> Statesig.opt s Statesig.int o)
+        = both (fun s ->
+              Statesig.present s (Option.is_some o);
+              Option.iter (Statesig.int s) o)))
+    [ None; Some 0; Some 5 ]
+
 (* One fold over every helper, evaluated on every sample of a small
    domain whose list shapes all flatten to the same values.  Across all
    pairs, signatures must be equal exactly when dumps are. *)
@@ -513,7 +564,10 @@ let fold_sample s (xss, o, b, arr) =
   Statesig.array s (fun s x -> Statesig.opt s Statesig.int x) arr;
   let flat = List.concat xss in
   Statesig.field s "q";
-  Statesig.queue s Statesig.int (Queue.of_seq (List.to_seq flat));
+  Statesig.init s (List.length flat) (fun s k -> Statesig.int s (List.nth flat k));
+  Statesig.field s "p";
+  Statesig.present s b;
+  if b then Statesig.int s 1;
   Statesig.field s "f";
   let f = Fifo.create ~capacity:4 in
   List.iter (Fifo.enq f) flat;
@@ -561,7 +615,7 @@ let () =
           Alcotest.test_case "enq on full raises" `Quick test_fifo_enq_full;
           Alcotest.test_case "wraparound iteration" `Quick test_fifo_wraparound_iter;
         ]
-        @ qsuite [ prop_fifo_model; prop_fifo_wraparound ] );
+        @ qsuite [ prop_fifo_model; prop_fifo_wraparound; prop_iring_model ] );
       ( "bitvec",
         [
           Alcotest.test_case "set/get/clear" `Quick test_bitvec_basic;
@@ -615,6 +669,8 @@ let () =
           Alcotest.test_case "dump format" `Quick test_statesig_dump_format;
           Alcotest.test_case "list boundary changes both views" `Quick
             test_statesig_list_boundary;
+          Alcotest.test_case "init and present fold as list and opt" `Quick
+            test_statesig_flat_equivalents;
           Alcotest.test_case "signature equal iff dump equal" `Quick
             test_statesig_views_agree;
         ] );
