@@ -65,8 +65,8 @@ val dump_sections : t -> (string * string) list
     µops are logged so [restore] can rewind the stream cursor and replay
     byte-identically.
 
-    Core checkpoints rewind closure-captured records in place, so a
-    checkpoint is only valid on the [t] that produced it.  Observability
+    Stream positions index this machine's µop log, so a checkpoint is
+    only valid on the [t] that produced it.  Observability
     sinks (selfprof, occupancy, telemetry) are not rewound.
 
     [save ~omit_predictors:true] deliberately breaks the completeness

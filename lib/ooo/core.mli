@@ -36,7 +36,11 @@ val create :
 
 (** [tick t ~now] advances the core one cycle.  The caller then ticks the
     L1s (routing completions back via {!mem_complete} / {!icache_complete})
-    and the LLC. *)
+    and the LLC.  Successive calls (and the first call after {!restore})
+    must advance [now] by exactly one: deferred events sit on a 32-cycle
+    timing wheel that runs one bucket per tick.
+    Raises [Invalid_argument] if a µop asks for an event delay outside
+    [\[1, 32)] (an ALU latency of 0 or of 32 and more). *)
 val tick : t -> now:int -> unit
 
 (** [mem_complete t ~now ~id] — a D-side request (load, page-walk read, or
@@ -115,9 +119,9 @@ val fold_state : Statesig.sink -> t -> unit
     ROB, rename tables, issue/load/store queues, store buffer, deferred
     events, purge machinery, predictors (BTB, tournament, RAS), TLBs,
     translation cache, and page walker — everything
-    [fold_state] excludes included.  Event and walker
-    continuations capture heap records that [restore] rewinds in place,
-    so a checkpoint is only valid on the [t] that produced it.  The µop
+    [fold_state] excludes included.  The state is flat arrays and
+    scalars holding no closures, so a checkpoint is array copies and
+    restores into any core of the same configuration.  The µop
     stream, the L1s, and the stats table are owned by the machine and
     checkpointed there; [set_on_commit] probes are left untouched.
 

@@ -593,6 +593,53 @@ let test_multi_slower_than_solo () =
     true
     (multi.(0).Tmachine.cycles >= solo.Tmachine.cycles)
 
+(* Metric sanity: no latency can outlast the run that measured it.
+   After [run_spec] and [run_multi], every [*_latency] (miss latencies
+   included) and [purge_cycles] histogram's max is at most the machine's
+   final [Tmachine.now], which the runs hand to the self-profiler as
+   their cycle count. *)
+let latency_histograms metrics =
+  List.filter
+    (fun (name, _) ->
+      String.ends_with ~suffix:"_latency" name
+      || String.ends_with ~suffix:"purge_cycles" name)
+    (Mi6_obs.Metrics.histograms metrics)
+
+let latencies_within_run ~now metrics =
+  let hs = latency_histograms metrics in
+  hs <> []
+  && List.for_all
+       (fun (name, h) ->
+         let m = Mi6_obs.Histogram.max h in
+         m <= now
+         || QCheck.Test.fail_reportf "%s max %d exceeds the run's %d cycles"
+              name m now)
+       hs
+
+let prop_latencies_within_run =
+  let bench = QCheck.Gen.oneofl Mi6_workload.Spec.all in
+  let gen =
+    QCheck.Gen.(
+      quad bench bench (oneofl Config.all_variants)
+        (pair (int_range 200 3_000) (int_range 500 4_000)))
+  in
+  QCheck.Test.make ~name:"latency histograms fit inside the run" ~count:12
+    (QCheck.make gen) (fun (b0, b1, variant, (warmup, measure)) ->
+      let sp = Mi6_obs.Selfprof.create () in
+      let r =
+        Tmachine.run_spec ~selfprof:sp ~variant ~bench:b0 ~warmup ~measure ()
+      in
+      latencies_within_run ~now:(Mi6_obs.Selfprof.cycles sp) r.Tmachine.metrics
+      &&
+      let sp = Mi6_obs.Selfprof.create () in
+      let rs =
+        Tmachine.run_multi ~selfprof:sp
+          ~timing:(Config.timing ~cores:2 variant)
+          ~benches:[| b0; b1 |] ~warmup ~measure ()
+      in
+      latencies_within_run ~now:(Mi6_obs.Selfprof.cycles sp)
+        rs.(0).Tmachine.metrics)
+
 (* The core's per-cycle CPI attributor increments exactly one bucket per
    tick, so the stack must sum to the measured cycle count on every
    variant — no lost or double-counted cycles. *)
@@ -1033,7 +1080,9 @@ let () =
           Alcotest.test_case "concurrent enclaves" `Quick
             test_concurrent_enclaves_on_two_cores;
         ]
-        @ qsuite [ prop_quiet_detector_matches_oracle ] );
+        @ qsuite
+            [ prop_quiet_detector_matches_oracle; prop_latencies_within_run ]
+      );
       ( "checkpoint",
         [
           Alcotest.test_case "non-vacuity: omitted predictors break replay"
