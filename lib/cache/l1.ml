@@ -173,14 +173,16 @@ let process_parent t ~now =
     if Fifo.can_enq t.link.Link.rs then begin
       ignore (Fifo.deq t.link.Link.p2c);
       let set = set_of t line in
-      match Sram.find t.array ~set ~tag:line with
-      | Some (way, m) when Msi.lt to_s m.state ->
-        let dirty = m.state = Msi.M in
+      let way = Sram.find_way t.array ~set ~tag:line in
+      let state = if way < 0 then Msi.I else (Sram.meta t.array ~set ~way).state in
+      if Msi.lt to_s state then begin
+        let dirty = state = Msi.M in
         if dirty then Stats.bump t.c_writebacks;
         if to_s = Msi.I then Sram.invalidate t.array ~set ~way
         else Sram.update t.array ~set ~way { state = to_s };
         Fifo.enq t.link.Link.rs { Msg.line; to_s; dirty }
-      | _ ->
+      end
+      else
         (* Already at or below the requested state (e.g. a voluntary
            eviction raced with this request): null response. *)
         Fifo.enq t.link.Link.rs { Msg.line; to_s; dirty = false }

@@ -38,7 +38,7 @@ let materialize t set =
   end
 
 let find_way t ~set ~tag =
-  if set < 0 || set >= t.nsets then invalid_arg "Sram.find: set out of range";
+  if set < 0 || set >= t.nsets then invalid_arg "Sram.find_way: set out of range";
   let tags = t.tags.(set) and meta = t.meta.(set) in
   (* A loop, not a local recursive function: no closure on the hit path. *)
   let way = ref (-1) and w = ref 0 in
@@ -53,11 +53,6 @@ let meta t ~set ~way =
   match t.meta.(set).(way) with
   | Some m -> m
   | None -> invalid_arg "Sram.meta: way is invalid"
-
-let find t ~set ~tag =
-  match find_way t ~set ~tag with
-  | -1 -> None
-  | way -> Some (way, meta t ~set ~way)
 
 let read t ~set ~way =
   check t set way;

@@ -13,11 +13,8 @@ val create : sets:int -> ways:int -> 'a t
 val sets : 'a t -> int
 val ways : 'a t -> int
 
-(** [find t ~set ~tag] is [Some (way, meta)] for a valid matching line. *)
-val find : 'a t -> set:int -> tag:int -> (int * 'a) option
-
 (** [find_way t ~set ~tag] is the way of the valid line matching [tag],
-    or [-1] — {!find} without allocating, for hit paths. *)
+    or [-1]. *)
 val find_way : 'a t -> set:int -> tag:int -> int
 
 (** [meta t ~set ~way] is a valid way's metadata; raises

@@ -363,9 +363,10 @@ let downgrade_targets t meta ~core ~to_s ~line =
 
 let apply_cresp_to_directory t core (resp : Msg.child_resp) =
   let set = set_of t resp.Msg.line in
-  match Sram.find t.array ~set ~tag:resp.Msg.line with
-  | None -> ()
-  | Some (_, meta) -> (
+  match Sram.find_way t.array ~set ~tag:resp.Msg.line with
+  | -1 -> ()
+  | way -> (
+    let meta = Sram.meta t.array ~set ~way in
     if resp.Msg.dirty then meta.dirty <- true;
     match resp.Msg.to_s with
     | Msi.I ->
@@ -488,9 +489,9 @@ let process_request t idx =
     let blocker = same_line_blocker t ~idx ~line:e.e_line 0 in
     if blocker >= 0 then park_on t ~blocker ~parked:idx
     else
-      match Sram.find t.array ~set ~tag:e.e_line with
-      | Some (way, meta) -> process_hit t idx e ~set ~way meta
-      | None -> process_miss t idx e ~set
+      match Sram.find_way t.array ~set ~tag:e.e_line with
+      | -1 -> process_miss t idx e ~set
+      | way -> process_hit t idx e ~set ~way (Sram.meta t.array ~set ~way)
   end
 
 (* Hand a downgrade response to the MSHR waiting on it, if any: the first
@@ -509,9 +510,9 @@ let rec claim_cresp t core (resp : Msg.child_resp) idx =
           let vdirty =
             e.e_needs_wb
             ||
-            match Sram.find t.array ~set:e.e_set ~tag:e.e_wb_line with
-            | Some (_, m) -> m.dirty
-            | None -> false
+            match Sram.find_way t.array ~set:e.e_set ~tag:e.e_wb_line with
+            | -1 -> false
+            | way -> (Sram.meta t.array ~set:e.e_set ~way).dirty
           in
           complete_replacement t idx ~victim_dirty:vdirty
         end
@@ -820,7 +821,7 @@ let busy t =
   || Array.exists (fun l -> Fifo.length l.Link.rq > 0 || Fifo.length l.Link.rs > 0) t.links
 
 let probe t ~line =
-  Sram.find t.array ~set:(set_of t line) ~tag:line <> None
+  Sram.find_way t.array ~set:(set_of t line) ~tag:line >= 0
 
 let occupancy t = Sram.count_valid t.array
 
