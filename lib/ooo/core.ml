@@ -1443,22 +1443,27 @@ let fold_iq s t q =
   let n = t.iq_len.(q) in
   Statesig.init s n (fun s k -> Statesig.int s t.iq.(q).(n - 1 - k))
 
-(* Pending events' due times, newest first.  Between ticks the bucket of
-   [t.now] is empty, so bucket [b] is due at the next cycle after [t.now]
-   congruent to [b]. *)
+(* Pending events' due times, newest first: each step picks the
+   largest sequence number below the last one folded.  Between ticks the
+   bucket of [t.now] is empty, so bucket [b] is due at the next cycle
+   after [t.now] congruent to [b]. *)
 let fold_events s t =
-  let pending = ref [] in
-  for b = 0 to wheel_size - 1 do
-    let due = t.now + ((b - t.now) land wheel_mask) in
-    let i = ref t.ev_head.(b) in
-    while !i >= 0 do
-      pending := (t.ev_seq.(!i), due) :: !pending;
-      i := t.ev_next.(!i)
-    done
-  done;
-  Statesig.list s
-    (fun s (_, due) -> Statesig.int s due)
-    (List.sort (fun (a, _) (b, _) -> compare b a) !pending)
+  let last = ref max_int in
+  Statesig.init s t.ev_live (fun s _ ->
+      let best = ref (-1) and due = ref 0 in
+      for b = 0 to wheel_size - 1 do
+        let i = ref t.ev_head.(b) in
+        while !i >= 0 do
+          let seq = t.ev_seq.(!i) in
+          if seq < !last && seq > !best then begin
+            best := seq;
+            due := t.now + ((b - t.now) land wheel_mask)
+          end;
+          i := t.ev_next.(!i)
+        done
+      done;
+      last := !best;
+      Statesig.int s !due)
 
 let fold_state s t =
   let open Statesig in
@@ -1486,7 +1491,7 @@ let fold_state s t =
         field s "src";
         let nsrc = if t.rob_src.(2 * i) < 0 then 0
           else if t.rob_src.((2 * i) + 1) < 0 then 1 else 2 in
-        init s nsrc (fun s k -> int s t.rob_src.((2 * i) + k));
+        ints s t.rob_src ~pos:(2 * i) ~len:nsrc;
         field s "lq"; opt_int s t.rob_lq.(i);
         field s "sq"; opt_int s t.rob_sq.(i);
         field s "st"; int s t.rob_state.(i);

@@ -135,6 +135,21 @@ let init s n f =
         done)
       f ()
 
+let ints s a ~pos ~len =
+  match s.mode with
+  | Hash ->
+    s.h <- mix s.h len;
+    for k = pos to pos + len - 1 do
+      s.h <- mix s.h a.(k)
+    done
+  | Dump b ->
+    dump_seq s b
+      (fun g () ->
+        for k = pos to pos + len - 1 do
+          g a.(k)
+        done)
+      int ()
+
 let[@inline] present s b =
   match s.mode with
   | Hash -> s.h <- mix s.h (Bool.to_int b)

@@ -50,6 +50,10 @@ val array : sink -> (sink -> 'a -> unit) -> 'a array -> unit
     fold through it without building the list. *)
 val init : sink -> int -> (sink -> int -> unit) -> unit
 
+(** [ints s a ~pos ~len] folds the ints [a.(pos) .. a.(pos + len - 1)]
+    exactly as [list s int] folds them, without a closure per call. *)
+val ints : sink -> int array -> pos:int -> len:int -> unit
+
 val fifo : sink -> (sink -> 'a -> unit) -> 'a Fifo.t -> unit
 
 (** [opt s f o] — a presence bit, then [f] on the value; the dump shows

@@ -529,7 +529,7 @@ let test_statesig_list_boundary () =
   check_bool "signatures differ" true (sig_a <> sig_b);
   check_bool "dumps differ" true (dump_a <> dump_b)
 
-(* [init] and [present] stand in for a list and an option without
+(* [init], [ints] and [present] stand in for a list and an option without
    building them, so they must fold exactly what those fold, in both
    views. *)
 let test_statesig_flat_equivalents () =
@@ -541,6 +541,9 @@ let test_statesig_flat_equivalents () =
               Statesig.init s (List.length xs) (fun s k ->
                   Statesig.int s (List.nth xs k)))))
     [ []; [ 7 ]; [ 1; -2; 3 ] ];
+  check_bool "ints folds as list" true
+    (both (fun s -> Statesig.list s Statesig.int [ -2; 3 ])
+    = both (fun s -> Statesig.ints s [| 7; 1; -2; 3 |] ~pos:2 ~len:2));
   List.iter
     (fun o ->
       check_bool "present folds as opt" true
@@ -669,7 +672,7 @@ let () =
           Alcotest.test_case "dump format" `Quick test_statesig_dump_format;
           Alcotest.test_case "list boundary changes both views" `Quick
             test_statesig_list_boundary;
-          Alcotest.test_case "init and present fold as list and opt" `Quick
+          Alcotest.test_case "init, ints and present fold as list and opt" `Quick
             test_statesig_flat_equivalents;
           Alcotest.test_case "signature equal iff dump equal" `Quick
             test_statesig_views_agree;
