@@ -1,6 +1,6 @@
 # Convenience wrapper around dune; `make ci` is what the CI workflow runs.
 
-.PHONY: all build test perfbench-smoke bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke lint lint-channels perf-compare ci clean
+.PHONY: all build test perfbench-smoke bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke cli-smoke lint lint-channels perf-compare ci clean
 
 all: build
 
@@ -93,20 +93,13 @@ top-smoke:
 bisect-smoke:
 	dune exec bin/mi6_sim.exe -- audit --json audit.json > /dev/null
 	sh -c 'dune exec bin/mi6_sim.exe -- bisect --witness spectre-v1 \
-		--variant-a base --variant-b f+p+m+a --json bisect.json \
-		--history BISECT_history.jsonl; test $$? -eq 1'
+		--variant-a base --variant-b f+p+m+a --json bisect.json; \
+		test $$? -eq 1'
 	dune exec bench/json_check.exe -- --bisect bisect.json \
 		--agrees-audit audit.json
-	dune exec bench/json_check.exe -- --history BISECT_history.jsonl
 	dune exec bin/mi6_sim.exe -- bisect --witness spectre-v1 \
 		--secret-a 0 --secret-b 1 --json bisect-secret.json
 	dune exec bench/json_check.exe -- --bisect bisect-secret.json
-	# Identical rerun must not regress bisection speed (flight-recorder
-	# overhead gate: compare.exe's kips threshold over the host section).
-	sh -c 'dune exec bin/mi6_sim.exe -- bisect --witness spectre-v1 \
-		--variant-a base --variant-b f+p+m+a \
-		--history BISECT_history.jsonl > /dev/null; test $$? -eq 1'
-	dune exec bench/compare.exe -- --history BISECT_history.jsonl
 
 # Interrupt-schedule noninterference gate:
 #   - a generated adversarial batch on the full MI6 variant must pass
@@ -127,6 +120,20 @@ ni-smoke:
 		--schedule-file examples/ni/base-counterexample.sched \
 		--json ni-base-j2.json; test $$? -eq 1'
 	cmp ni-base.json ni-base-j2.json
+
+# A zero count or period is a usage error: each of these must exit 2
+# with a one-line message, not end in an uncaught exception.
+cli-smoke:
+	dune build bin/mi6_sim.exe
+	for args in "run -b gcc --warmup 1000 --measure 1000 \
+			--telemetry telemetry.jsonl --telemetry-every 0" \
+		"sweep -b gcc -v base --warmup 1000 --measure 1000 --seeds 0" \
+		"bisect --witness spectre-v1 --interval 0"; do \
+		dune exec bin/mi6_sim.exe -- $$args > /dev/null 2>&1; got=$$?; \
+		if [ $$got -ne 2 ]; then \
+			echo "cli-smoke: mi6_sim $$args exited $$got, expected 2"; exit 1; \
+		fi; \
+	done
 
 # Diff the two most recent bench runs in BENCH_history.jsonl; exits
 # nonzero on a cycle or IPC regression past the default 5% thresholds.
@@ -196,13 +203,16 @@ lint-channels:
 	done
 	rm -f examples/lint/*-channels.json
 
-ci: build test perfbench-smoke bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke lint lint-channels
+ci: build test perfbench-smoke bench-smoke audit-smoke sweep-smoke telemetry-smoke top-smoke bisect-smoke ni-smoke cli-smoke lint lint-channels
 
 clean:
 	dune clean
-	rm -f BENCH_run.json audit.json sweep-serial.json sweep-parallel.json \
+	rm -f BENCH_run.json BENCH_history.jsonl audit.json \
+		sweep-serial.json sweep-parallel.json sweep-history.jsonl \
+		sweep-serial.log sweep-parallel.log \
+		trace.json metrics.json profile.json profile.folded \
 		lint-mi6.json lint-base.json lint-witnesses.json \
 		lint-channels*.json examples/lint/*-channels.json \
-		bisect.json bisect-secret.json BISECT_history.jsonl \
-		ni-fpma.json ni-base.json ni-base-j2.json \
+		bisect.json bisect-secret.json \
+		ni-fpma.json ni-base.json ni-base-j2.json ni-falsified.sched \
 		telemetry.jsonl tel-serial\#* tel-parallel\#*

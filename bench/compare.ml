@@ -3,7 +3,6 @@
    Usage:
      bench/compare.exe [--history FILE] [--old RUN_ID] [--new RUN_ID]
                        [--max-cycle-regress PCT] [--max-ipc-drop PCT]
-                       [--max-kips-drop PCT]
 
    Without --old/--new the latest two runs in the history are compared.
    Exits 1 when any (variant, bench) pair regresses past a threshold,
@@ -16,14 +15,13 @@ open Mi6_obs
 let usage () =
   prerr_endline
     "usage: compare [--history FILE] [--old RUN_ID] [--new RUN_ID]\n\
-    \               [--max-cycle-regress PCT] [--max-ipc-drop PCT]\n\
-    \               [--max-kips-drop PCT]";
+    \               [--max-cycle-regress PCT] [--max-ipc-drop PCT]";
   exit 2
 
 let () =
   let history = ref "BENCH_history.jsonl" in
   let old_id = ref None and new_id = ref None in
-  let max_cycles = ref 5.0 and max_ipc = ref 5.0 and max_kips = ref 50.0 in
+  let max_cycles = ref 5.0 and max_ipc = ref 5.0 in
   let pct name s =
     match float_of_string_opt s with
     | Some f when f >= 0.0 -> f
@@ -48,9 +46,6 @@ let () =
       parse rest
     | "--max-ipc-drop" :: p :: rest ->
       max_ipc := pct "--max-ipc-drop" p;
-      parse rest
-    | "--max-kips-drop" :: p :: rest ->
-      max_kips := pct "--max-kips-drop" p;
       parse rest
     | arg :: _ ->
       Printf.eprintf "compare: unknown argument %S\n" arg;
@@ -90,9 +85,9 @@ let () =
   let run_id rs = match rs with r :: _ -> r.Perfdb.run_id | [] -> "?" in
   Printf.printf
     "comparing %s (old) vs %s (new): %d vs %d records, thresholds \
-     cycles +%.1f%% / ipc -%.1f%% / kips -%.1f%%\n"
+     cycles +%.1f%% / ipc -%.1f%%\n"
     (run_id old_run) (run_id new_run) (List.length old_run)
-    (List.length new_run) !max_cycles !max_ipc !max_kips;
+    (List.length new_run) !max_cycles !max_ipc;
   (* Attribute a cycle regression: which CPI buckets grew the most. *)
   let attribution variant bench =
     let find rs =
@@ -129,8 +124,7 @@ let () =
   in
   let regressions =
     Perfdb.compare_runs ~max_cycle_regress_pct:!max_cycles
-      ~max_ipc_drop_pct:!max_ipc ~max_kips_drop_pct:!max_kips ~old_run
-      ~new_run ()
+      ~max_ipc_drop_pct:!max_ipc ~old_run ~new_run ()
   in
   if regressions = [] then begin
     print_endline "no regressions";

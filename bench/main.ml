@@ -30,28 +30,8 @@ let measure = ref 500_000
 let cache : (Config.variant * Mi6_workload.Spec.bench, Tmachine.result) Hashtbl.t =
   Hashtbl.create 64
 
-(* Host-side cost of each cached run (wall time, kips, per-phase
-   ns/cycle), recorded unconditionally so BENCH_run.json and the history
-   always carry host fields. *)
-let hosts : (Config.variant * Mi6_workload.Spec.bench, Mi6_obs.Perfdb.host) Hashtbl.t =
-  Hashtbl.create 64
-
-let selfprof_host sp =
-  let open Mi6_obs in
-  {
-    Perfdb.wall_s = Selfprof.wall_seconds sp;
-    kips = Selfprof.overall_kips sp;
-    phases =
-      List.map (fun (name, _s, ns, _ab) -> (name, ns)) (Selfprof.report sp);
-  }
-
-let timed_run variant bench =
-  let sp = Mi6_obs.Selfprof.create () in
-  let r =
-    Tmachine.run_spec ~selfprof:sp ~variant ~bench ~warmup:!warmup
-      ~measure:!measure ()
-  in
-  (r, selfprof_host sp)
+let spec_run variant bench =
+  Tmachine.run_spec ~variant ~bench ~warmup:!warmup ~measure:!measure ()
 
 let result variant bench =
   match Hashtbl.find_opt cache (variant, bench) with
@@ -59,9 +39,8 @@ let result variant bench =
   | None ->
     Printf.eprintf "  [run] %-10s %-8s\r%!" (bench_name bench)
       (Config.variant_name variant);
-    let r, host = timed_run variant bench in
+    let r = spec_run variant bench in
     Hashtbl.add cache (variant, bench) r;
-    Hashtbl.add hosts (variant, bench) host;
     r
 
 (* The exact (variant, bench) cells a figure resolves through the run
@@ -102,13 +81,9 @@ let prefill ~jobs fig_names =
       (fun () ->
         let results =
           Mi6_exec.Pool.run_list pool cells (fun (variant, bench) ->
-              timed_run variant bench)
+              spec_run variant bench)
         in
-        List.iter2
-          (fun cell (r, host) ->
-            Hashtbl.add cache cell r;
-            Hashtbl.add hosts cell host)
-          cells results)
+        List.iter2 (Hashtbl.add cache) cells results)
   end
 
 let overhead variant bench =
@@ -687,25 +662,15 @@ let emit_run_json ~fast =
   let runs =
     Hashtbl.fold
       (fun (variant, bench) (r : Tmachine.result) acc ->
-        let host_fields =
-          match Hashtbl.find_opt hosts (variant, bench) with
-          | None -> []
-          | Some h ->
-            [
-              ("host_wall_s", Json.Float h.Perfdb.wall_s);
-              ("host_kips", Json.Float h.Perfdb.kips);
-            ]
-        in
         Json.Obj
-          ([
-             ("bench", Json.String (bench_name bench));
-             ("variant", Json.String (Config.variant_name variant));
-             ("cycles", Json.Int r.Tmachine.cycles);
-             ("instrs", Json.Int r.Tmachine.instrs);
-             ("ipc", Json.Float (Tmachine.ipc r));
-             ("llc_mpki", Json.Float (Tmachine.mpki r "llc.misses"));
-           ]
-          @ host_fields)
+          [
+            ("bench", Json.String (bench_name bench));
+            ("variant", Json.String (Config.variant_name variant));
+            ("cycles", Json.Int r.Tmachine.cycles);
+            ("instrs", Json.Int r.Tmachine.instrs);
+            ("ipc", Json.Float (Tmachine.ipc r));
+            ("llc_mpki", Json.Float (Tmachine.mpki r "llc.misses"));
+          ]
         :: acc)
       cache []
   in
@@ -773,7 +738,6 @@ let append_history () =
           ipc = Tmachine.ipc r;
           cpi;
           quantiles;
-          host = Hashtbl.find_opt hosts (variant, bench);
         }
         :: acc)
       cache []

@@ -48,6 +48,16 @@ let variant_conv =
   in
   Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (Config.variant_name v))
 
+(* Counts and periods that must be at least 1: a zero is a usage error
+   (exit 2), not an [Invalid_argument] from deep in the run. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let warmup =
   Arg.(value & opt int 200_000 & info [ "warmup" ] ~doc:"Warmup µops (untimed).")
 
@@ -135,7 +145,7 @@ let telemetry_file =
                  $(b,mi6_sim top) $(docv).")
 
 let telemetry_every =
-  Arg.(value & opt int 10_000
+  Arg.(value & opt pos_int 10_000
        & info [ "telemetry-every" ] ~docv:"N"
            ~doc:"Cycles between telemetry snapshots.")
 
@@ -340,7 +350,7 @@ let sweep_cmd =
          & info [ "v"; "variant" ] ~doc:"Processor variants (comma separated).")
   in
   let seeds =
-    Arg.(value & opt int 1
+    Arg.(value & opt pos_int 1
          & info [ "seeds" ] ~docv:"K"
              ~doc:"Stream seeds per (variant, bench) pair: seed 0 is the \
                    canonical stream, higher seeds deterministic \
@@ -349,8 +359,7 @@ let sweep_cmd =
   let history_file =
     Arg.(value & opt (some string) None
          & info [ "history" ] ~docv:"FILE"
-             ~doc:"Append one Perfdb record per cell plus a wall-clock \
-                   record for this invocation to $(docv) (JSONL).")
+             ~doc:"Append one Perfdb record per cell to $(docv) (JSONL).")
   in
   let run benches variants seeds warmup measure jobs stats_json_file
       history_file telemetry_file telemetry_every =
@@ -403,38 +412,9 @@ let sweep_cmd =
       let commit = Perfdb.git_commit () in
       let run_id = Perfdb.next_run_id (Perfdb.load ~path) ~commit in
       let records = Sweep.to_perfdb_records ~run_id ~commit outcomes in
-      let total_cycles =
-        List.fold_left
-          (fun acc (o : Sweep.outcome) -> acc + o.Sweep.result.Tmachine.cycles)
-          0 outcomes
-      in
-      let wall_record =
-        {
-          Perfdb.run_id;
-          commit;
-          variant = "sweep";
-          bench = Printf.sprintf "wall-jobs-%d" jobs;
-          cycles = int_of_float (wall *. 1000.0);  (* milliseconds *)
-          instrs = List.length cells;
-          ipc = 0.0;
-          cpi = [];
-          quantiles = [];
-          (* The bench name carries the job count, so the kips gate only
-             ever compares invocations with the same parallelism. *)
-          host =
-            Some
-              {
-                Perfdb.wall_s = wall;
-                kips =
-                  (if wall <= 0.0 then 0.0
-                   else float_of_int total_cycles /. wall /. 1000.0);
-                phases = [];
-              };
-        }
-      in
-      Perfdb.append ~path (records @ [ wall_record ]);
+      Perfdb.append ~path records;
       Printf.printf "appended run %s (%d records) -> %s\n%!" run_id
-        (List.length records + 1) path
+        (List.length records) path
     | None -> ());
     0
   in
@@ -1124,7 +1104,7 @@ let bisect_cmd =
              ~doc:"Trace events per side in the slice report.")
   in
   let interval =
-    Arg.(value & opt int 256
+    Arg.(value & opt pos_int 256
          & info [ "interval" ] ~docv:"N"
              ~doc:"Cycles between flight-recorder checkpoints.")
   in
@@ -1142,16 +1122,8 @@ let bisect_cmd =
          & info [ "json" ] ~docv:"FILE"
              ~doc:"Write the slice report as JSON (schema mi6.bisect/1).")
   in
-  let history_file =
-    Arg.(value & opt (some string) None
-         & info [ "history" ] ~docv:"FILE"
-             ~doc:"Append a Perfdb record with the bisection wall time and \
-                   checkpoint memory high-water to $(docv) (JSONL); \
-                   compare.exe then gates flight-recorder overhead \
-                   regressions.")
-  in
   let run witness_name bench uops variant_a variant_b secret_a secret_b
-      window interval ring max_cycles json_file history_file =
+      window interval ring max_cycles json_file =
     guard_io @@ fun () ->
     let open Mi6_obs in
     let trace_a = Trace.create ~capacity:(1 lsl 16) ()
@@ -1234,60 +1206,15 @@ let bisect_cmd =
             Printf.sprintf "%s:%s" name (vname vb) )
         end
     in
-    let t0 = Unix.gettimeofday () in
     let r =
       Bisect.run ~interval ~ring ~window ~max_cycles ~trace_a ~trace_b
         ~label_a ~label_b a b
     in
-    let wall = Unix.gettimeofday () -. t0 in
     Format.printf "%a" Bisect.pp_report r;
     (match json_file with
     | Some path ->
       write_file path (Json.to_string (Bisect.report_to_json r));
       Printf.printf "bisect report -> %s\n%!" path
-    | None -> ());
-    (match history_file with
-    | Some path ->
-      let commit = Perfdb.git_commit () in
-      let run_id = Perfdb.next_run_id (Perfdb.load ~path) ~commit in
-      let cycles =
-        match r.Bisect.r_outcome with
-        | Bisect.Clean { cycles_run } -> cycles_run
-        | Bisect.Diverged s -> s.Bisect.s_cycle
-      in
-      let stats = r.Bisect.r_stats in
-      let record =
-        {
-          Perfdb.run_id;
-          commit;
-          variant = "bisect";
-          bench = Printf.sprintf "%s-vs-%s" label_a label_b;
-          cycles;
-          instrs = stats.Bisect.cs_taken;
-          ipc = 0.0;
-          cpi = [];
-          quantiles = [];
-          (* kips here is lockstep scan speed (both machines + recorder),
-             so compare.exe's kips gate bounds flight-recorder overhead
-             regressions; checkpoint memory rides in the phase table. *)
-          host =
-            Some
-              {
-                Perfdb.wall_s = wall;
-                kips =
-                  (if wall <= 0.0 then 0.0
-                   else float_of_int cycles /. wall /. 1000.0);
-                phases =
-                  [
-                    ( "checkpoint_mem_words",
-                      float_of_int stats.Bisect.cs_mem_high_water_words );
-                    ("probes", float_of_int stats.Bisect.cs_probes);
-                  ];
-              };
-        }
-      in
-      Perfdb.append ~path [ record ];
-      Printf.printf "appended run %s -> %s\n%!" run_id path
     | None -> ());
     if Bisect.diverged r then 1 else 0
   in
@@ -1301,7 +1228,7 @@ let bisect_cmd =
           µops, trace tails); exits 1 on divergence")
     Term.(const run $ witness_arg $ bench $ uops $ variant_a $ variant_b
           $ secret_a $ secret_b $ window $ interval $ ring $ max_cycles
-          $ json_file $ history_file)
+          $ json_file)
 
 (* ------------------------------------------------------------------ *)
 (* area                                                                *)

@@ -202,7 +202,7 @@ let victim_event vcore ev =
     | Trace.Dram_cmd { line; _ } -> victim_owns_line line
     | _ -> false)
 
-let victim_observation setup ~attacker =
+let victim_observation ?(on_tick = fun _ -> ()) setup ~attacker =
   let trace =
     Trace.create ~capacity:(1 lsl 16) ~filter:[ Trace.Llc; Trace.Dram ] ()
   in
@@ -262,6 +262,7 @@ let victim_observation setup ~attacker =
       end;
       attacker_driver ();
       Hierarchy.tick h;
+      on_tick h;
       completed :=
         !completed + List.length (Hierarchy.take_completions h ~core:vcore)
     done
@@ -316,4 +317,5 @@ let audit_grid ?(setups = audit_setups) ~attackers () =
 let audit_cell_name c =
   c.cell_setup_name ^ "/" ^ attacker_name c.cell_attacker
 
-let run_audit_cell c = victim_observation c.cell_setup ~attacker:c.cell_attacker
+let run_audit_cell ?on_tick c =
+  victim_observation ?on_tick c.cell_setup ~attacker:c.cell_attacker

@@ -101,7 +101,9 @@ val audit_cell_name : audit_cell -> string
 (** [run_audit_cell c] — {!victim_llc_events} for the cell, plus the
     trace ring's dominant dropped event kind (as
     [Some (kind, count)]) so a nonzero-drop warning can say {e what}
-    was lost, not just how much. *)
+    was lost, not just how much.  [on_tick] runs after every cycle of
+    the capture (tests use it to check invariants). *)
 val run_audit_cell :
+  ?on_tick:(Hierarchy.t -> unit) ->
   audit_cell ->
   (int * Mi6_obs.Trace.event) list * int * (string * int) option

@@ -131,8 +131,5 @@ let to_perfdb_records ~run_id ~commit outcomes =
         ipc = Tmachine.ipc r;
         cpi;
         quantiles;
-        (* No host section: per-cell wall time depends on --jobs and
-           host load, and sweep outputs must stay machine-independent. *)
-        host = None;
       })
     outcomes

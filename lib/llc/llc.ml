@@ -825,6 +825,45 @@ let probe t ~line =
 
 let occupancy t = Sram.count_valid t.array
 
+let check_invariants t =
+  let problems = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+  (* A parked entry must be on the wake-up list of an active one, or no
+     [free_entry] ever re-queues it. *)
+  let rec parked_on i j =
+    j < t.cfg.mshrs
+    && ((match t.entries.(j) with
+        | Some { e_phase = P_blocked; _ } | None -> false
+        | Some b -> List.mem i b.e_blocked)
+       || parked_on i (j + 1))
+  in
+  let occupied = ref 0 in
+  Array.iteri
+    (fun i slot ->
+      match slot with
+      | None -> ()
+      | Some e ->
+        incr occupied;
+        if i < range_lo t e.e_core || i >= range_hi t e.e_core then
+          fail "MSHR %d holds a core-%d entry outside that core's range" i
+            e.e_core;
+        (match e.e_phase with
+        | P_blocked when not (parked_on i 0) ->
+          fail "MSHR %d is parked but no active entry will wake it" i
+        | _ -> ()))
+    t.entries;
+  if !occupied <> t.live then
+    fail "live count %d, but %d MSHRs are occupied" t.live !occupied;
+  Sram.iter_valid
+    (fun set way tag meta ->
+      match meta.owner with
+      | Some c when Bitvec.get meta.sharers c ->
+        fail "line %#x (set %d, way %d): owner core %d is also a sharer" tag
+          set way c
+      | _ -> ())
+    t.array;
+  match List.rev !problems with [] -> Ok () | first :: _ -> Error first
+
 let invalidate_region t ~geometry ~region =
   if busy t then failwith "Llc.invalidate_region: LLC not quiescent";
   let to_drop = ref [] in

@@ -81,6 +81,14 @@ val probe : t -> line:int -> bool
 (** [occupancy t] is the number of valid lines. *)
 val occupancy : t -> int
 
+(** [check_invariants t] checks the LLC's structural invariants, for
+    tests that call it every cycle: the live-MSHR count matches the
+    occupied slots; under [partitioned_mshrs] every entry sits in its
+    core's slice; every parked entry is on the wake-up list of a live,
+    unparked entry; and no valid line's owner is also one of its
+    sharers.  [Error msg] names the first violation. *)
+val check_invariants : t -> (unit, string) result
+
 (** MSHR-occupancy distribution, one sample per tick. *)
 val mshr_occupancy : t -> Histogram.t
 

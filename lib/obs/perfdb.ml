@@ -1,9 +1,3 @@
-type host = {
-  wall_s : float;
-  kips : float;
-  phases : (string * float) list;
-}
-
 type record = {
   run_id : string;
   commit : string;
@@ -14,43 +8,32 @@ type record = {
   ipc : float;
   cpi : (string * int) list;
   quantiles : (string * (int * int * int)) list;
-  host : host option;
 }
-
-let host_to_json h =
-  Json.Obj
-    [
-      ("wall_s", Json.Float h.wall_s);
-      ("kips", Json.Float h.kips);
-      ( "phases",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) h.phases) );
-    ]
 
 let record_to_json r =
   Json.Obj
-    ([
-       ("run_id", Json.String r.run_id);
-       ("commit", Json.String r.commit);
-       ("variant", Json.String r.variant);
-       ("bench", Json.String r.bench);
-       ("cycles", Json.Int r.cycles);
-       ("instrs", Json.Int r.instrs);
-       ("ipc", Json.Float r.ipc);
-       ("cpi", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.cpi));
-       ( "quantiles",
-         Json.Obj
-           (List.map
-              (fun (k, (p50, p95, p99)) ->
-                ( k,
-                  Json.Obj
-                    [
-                      ("p50", Json.Int p50);
-                      ("p95", Json.Int p95);
-                      ("p99", Json.Int p99);
-                    ] ))
-              r.quantiles) );
-     ]
-    @ match r.host with None -> [] | Some h -> [ ("host", host_to_json h) ])
+    [
+      ("run_id", Json.String r.run_id);
+      ("commit", Json.String r.commit);
+      ("variant", Json.String r.variant);
+      ("bench", Json.String r.bench);
+      ("cycles", Json.Int r.cycles);
+      ("instrs", Json.Int r.instrs);
+      ("ipc", Json.Float r.ipc);
+      ("cpi", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) r.cpi));
+      ( "quantiles",
+        Json.Obj
+          (List.map
+             (fun (k, (p50, p95, p99)) ->
+               ( k,
+                 Json.Obj
+                   [
+                     ("p50", Json.Int p50);
+                     ("p95", Json.Int p95);
+                     ("p99", Json.Int p99);
+                   ] ))
+             r.quantiles) );
+    ]
 
 let record_of_json j =
   let ( let* ) = Result.bind in
@@ -118,39 +101,10 @@ let record_of_json j =
       |> Result.map List.rev
     | _ -> Error "field \"quantiles\": expected object"
   in
-  (* [host] is optional: records written before host-cost tracking (or
-     with profiling off) simply lack it. *)
-  let* host =
-    match Json.member "host" j with
-    | None -> Ok None
-    | Some h ->
-      let hnum name =
-        match Json.member name h with
-        | Some (Json.Float f) -> Ok f
-        | Some (Json.Int i) -> Ok (float_of_int i)
-        | _ -> Error (Printf.sprintf "host.%s: expected number" name)
-      in
-      let* wall_s = hnum "wall_s" in
-      let* kips = hnum "kips" in
-      let* phases =
-        match Json.member "phases" h with
-        | None -> Ok []
-        | Some (Json.Obj fields) ->
-          List.fold_left
-            (fun acc (k, v) ->
-              let* acc = acc in
-              match v with
-              | Json.Float f -> Ok ((k, f) :: acc)
-              | Json.Int i -> Ok ((k, float_of_int i) :: acc)
-              | _ -> Error (Printf.sprintf "host.phases.%s: expected number" k))
-            (Ok []) fields
-          |> Result.map List.rev
-        | Some _ -> Error "host.phases: expected object"
-      in
-      Ok (Some { wall_s; kips; phases })
-  in
-  Ok { run_id; commit; variant; bench; cycles; instrs; ipc; cpi; quantiles;
-       host }
+  (* Histories written before host speed moved to perfbench carry a
+     [host] object (wall_s, kips, phases); like any unknown field it is
+     ignored. *)
+  Ok { run_id; commit; variant; bench; cycles; instrs; ipc; cpi; quantiles }
 
 let append ~path records =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
@@ -211,7 +165,7 @@ type regression = {
 }
 
 let compare_runs ?(max_cycle_regress_pct = 5.0) ?(max_ipc_drop_pct = 5.0)
-    ?(max_kips_drop_pct = 50.0) ~old_run ~new_run () =
+    ~old_run ~new_run () =
   List.concat_map
     (fun (n : record) ->
       match
@@ -240,36 +194,19 @@ let compare_runs ?(max_cycle_regress_pct = 5.0) ?(max_ipc_drop_pct = 5.0)
              };
            ]
          else [])
-        @ (if -.ipc > max_ipc_drop_pct then
-             [
-               {
-                 r_variant = n.variant;
-                 r_bench = n.bench;
-                 r_metric = "ipc";
-                 r_old = o.ipc;
-                 r_new = n.ipc;
-                 r_delta_pct = -.ipc;
-               };
-             ]
-           else [])
         @
-        (* Host-speed gate: generous threshold, since wall time on a
-           shared CI host is noisy — this catches order-of-magnitude
-           simulator slowdowns, not percent-level jitter. *)
-        match (o.host, n.host) with
-        | Some oh, Some nh when -.(pct ~old_:oh.kips ~new_:nh.kips)
-                                > max_kips_drop_pct ->
+        if -.ipc > max_ipc_drop_pct then
           [
             {
               r_variant = n.variant;
               r_bench = n.bench;
-              r_metric = "kips";
-              r_old = oh.kips;
-              r_new = nh.kips;
-              r_delta_pct = -.(pct ~old_:oh.kips ~new_:nh.kips);
+              r_metric = "ipc";
+              r_old = o.ipc;
+              r_new = n.ipc;
+              r_delta_pct = -.ipc;
             };
           ]
-        | _ -> [])
+        else [])
     new_run
 
 let pp_regression ppf r =

@@ -9,15 +9,6 @@
     histogram quantiles so a regression can be attributed, not just
     detected. *)
 
-(** Host-side cost of producing the record: how fast the {e simulator}
-    ran, as opposed to how fast the simulated machine was. *)
-type host = {
-  wall_s : float;  (** run wall-clock seconds *)
-  kips : float;  (** simulated kilo-instructions per host second *)
-  phases : (string * float) list;
-      (** self-profiler phase -> host ns per simulated cycle *)
-}
-
 type record = {
   run_id : string;  (** shared by every record of one harness invocation *)
   commit : string;  (** git HEAD at the time of the run, or ["unknown"] *)
@@ -29,15 +20,13 @@ type record = {
   cpi : (string * int) list;  (** CPI-stack category -> cycles *)
   quantiles : (string * (int * int * int)) list;
       (** histogram name -> (p50, p95, p99) *)
-  host : host option;
-      (** absent in records written before host-cost tracking or with
-          profiling off — readers must treat [None] as "unknown" *)
 }
 
 val record_to_json : record -> Json.t
 
 (** [record_of_json j] — [Error msg] when a required field is missing or
-    ill-typed. *)
+    ill-typed.  Unknown fields are ignored, so lines written before host
+    speed moved to perfbench, which carry a [host] object, still load. *)
 val record_of_json : Json.t -> (record, string) result
 
 (** [append ~path records] appends one compact JSON line per record
@@ -67,7 +56,7 @@ val next_run_id : record list -> commit:string -> string
 type regression = {
   r_variant : string;
   r_bench : string;
-  r_metric : string;  (** ["cycles"], ["ipc"], or ["kips"] *)
+  r_metric : string;  (** ["cycles"] or ["ipc"] *)
   r_old : float;
   r_new : float;
   r_delta_pct : float;  (** signed; positive = more cycles / less IPC *)
@@ -76,15 +65,12 @@ type regression = {
 (** [compare_runs ~old_run ~new_run] — threshold violations over the
     (variant, bench) pairs present in both runs.  [max_cycle_regress_pct]
     (default 5.0) bounds the cycle-count increase; [max_ipc_drop_pct]
-    (default 5.0) bounds the IPC decrease.  [max_kips_drop_pct] (default
-    50.0) bounds the {e host}-speed drop when both records carry a
-    {!host} section — deliberately generous, so shared-CI wall-clock
-    noise never fires it but an order-of-magnitude simulator slowdown
-    does. *)
+    (default 5.0) bounds the IPC decrease.  Both compare simulated
+    quantities, so identical reruns never differ; host speed is measured
+    by perfbench. *)
 val compare_runs :
   ?max_cycle_regress_pct:float ->
   ?max_ipc_drop_pct:float ->
-  ?max_kips_drop_pct:float ->
   old_run:record list ->
   new_run:record list ->
   unit ->

@@ -29,6 +29,24 @@ let make ?(cores = 2) ?(security = Llc.baseline_security) ?(llc_mshrs = 16)
   in
   (h, stats)
 
+(* Advance one cycle, then hold the LLC to its structural invariants. *)
+let tick_checked h =
+  Hierarchy.tick h;
+  match Llc.check_invariants (Hierarchy.llc h) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "cycle %d: %s" (Hierarchy.now h) msg
+
+(* [Hierarchy.run_until_quiescent], checking the invariants every cycle. *)
+let drain_checked h ~max_cycles =
+  let rec go n =
+    if not (Hierarchy.quiescent h) then begin
+      if n >= max_cycles then Alcotest.fail "hierarchy never quiesced";
+      tick_checked h;
+      go (n + 1)
+    end
+  in
+  go 0
+
 (* Issue a single request and run until it completes; returns latency. *)
 let timed_access h ~core ~line ~store ~id =
   Hierarchy.request h ~core ~line ~store ~id;
@@ -271,12 +289,12 @@ let test_determinism () =
         Hierarchy.request h ~core:0
           ~line:(Rng.int rng 4096)
           ~store:(Rng.bool rng ~p:0.3) ~id:i;
-      Hierarchy.tick h;
+      tick_checked h;
       List.iter
         (fun (id, at) -> trace := (id, at) :: !trace)
         (Hierarchy.take_completions h ~core:0)
     done;
-    ignore (Hierarchy.run_until_quiescent h ~max_cycles:10_000);
+    drain_checked h ~max_cycles:10_000;
     List.iter
       (fun (id, at) -> trace := (id, at) :: !trace)
       (Hierarchy.take_completions h ~core:0);
@@ -309,7 +327,7 @@ let prop_random_traffic_completes =
             issued.(core) <- issued.(core) + 1
           end
         done;
-        Hierarchy.tick h;
+        tick_checked h;
         for core = 0 to 1 do
           List.iter
             (fun (id, _) ->
@@ -318,7 +336,7 @@ let prop_random_traffic_completes =
             (Hierarchy.take_completions h ~core)
         done
       done;
-      ignore (Hierarchy.run_until_quiescent h ~max_cycles:100_000);
+      drain_checked h ~max_cycles:100_000;
       for core = 0 to 1 do
         List.iter
           (fun (id, _) ->
@@ -348,9 +366,9 @@ let prop_inclusion =
             incr id
           end
         done;
-        Hierarchy.tick h
+        tick_checked h
       done;
-      ignore (Hierarchy.run_until_quiescent h ~max_cycles:100_000);
+      drain_checked h ~max_cycles:100_000;
       Array.for_all
         (fun line ->
           let in_l1 =
@@ -379,9 +397,9 @@ let prop_msi_invariant =
             incr id
           end
         done;
-        Hierarchy.tick h
+        tick_checked h
       done;
-      ignore (Hierarchy.run_until_quiescent h ~max_cycles:100_000);
+      drain_checked h ~max_cycles:100_000;
       let ok = ref true in
       for k = 0 to 15 do
         let line = k * 1024 in

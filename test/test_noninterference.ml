@@ -187,6 +187,18 @@ let test_audit_baseline_localizes_leak () =
       (List.mem ch Channel.[ Arbiter; Mshr; Uq_dq; Dram ])
   | None -> Alcotest.fail "divergent report without a leaking channel"
 
+(* The whole audit grid (both setups under every attacker) with the
+   LLC's structural invariants checked after every cycle. *)
+let test_audit_grid_llc_invariants () =
+  let check h =
+    match Llc.check_invariants (Hierarchy.llc h) with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "cycle %d: %s" (Hierarchy.now h) msg
+  in
+  List.iter
+    (fun cell -> ignore (Noninterference.run_audit_cell ~on_tick:check cell))
+    (Noninterference.audit_grid ~attackers:Noninterference.all_attackers ())
+
 let test_attacker_names_roundtrip () =
   List.iter
     (fun a ->
@@ -238,6 +250,8 @@ let () =
             test_audit_baseline_localizes_leak;
           Alcotest.test_case "attacker names roundtrip" `Quick
             test_attacker_names_roundtrip;
+          Alcotest.test_case "grid keeps LLC invariants" `Quick
+            test_audit_grid_llc_invariants;
         ] );
       ( "properties",
         qsuite [ prop_mi6_invariant_over_victims; prop_mi6_mshr_invariant ] );

@@ -439,7 +439,7 @@ let test_audit_length_mismatch () =
 (* ------------------------------------------------------------------ *)
 
 let sample_record ?(run_id = "0001-abc") ?(variant = "BASE") ?(bench = "gcc")
-    ?(cycles = 1000) ?(ipc = 0.5) ?host () =
+    ?(cycles = 1000) ?(ipc = 0.5) () =
   {
     Perfdb.run_id;
     commit = "abc";
@@ -450,7 +450,6 @@ let sample_record ?(run_id = "0001-abc") ?(variant = "BASE") ?(bench = "gcc")
     ipc;
     cpi = [ ("base", 400); ("llc_dram", 600) ];
     quantiles = [ ("core.0.load_latency", (3, 40, 130)) ];
-    host;
   }
 
 let test_perfdb_json_roundtrip () =
@@ -525,52 +524,25 @@ let test_perfdb_compare_runs () =
        ~old_run ~new_run:bad_run ()
     = [])
 
-let test_perfdb_host_roundtrip () =
-  let host =
-    { Perfdb.wall_s = 1.5; kips = 800.0; phases = [ ("fetch", 12.5) ] }
+(* A BENCH_history.jsonl line as written before host speed moved to
+   perfbench: it carries a [host] object, which must not stop old
+   histories from loading (json_check --history and compare.exe both
+   decode lines through [record_of_json]). *)
+let test_perfdb_old_host_line_loads () =
+  let line =
+    {|{"run_id":"0001-abc","commit":"abc","variant":"BASE","bench":"gcc",|}
+    ^ {|"cycles":1000,"instrs":500,"ipc":0.5,|}
+    ^ {|"cpi":{"base":400,"llc_dram":600},|}
+    ^ {|"quantiles":{"core.0.load_latency":{"p50":3,"p95":40,"p99":130}},|}
+    ^ {|"host":{"wall_s":1.5,"kips":800.0,"phases":{"fetch":12.5}}}|}
   in
-  let r = sample_record ~host () in
-  (match
-     Perfdb.record_of_json
-       (Json.of_string (Json.to_string (Perfdb.record_to_json r)))
-   with
-  | Ok r' -> check_bool "host roundtrip" true (r = r')
+  (match Perfdb.record_of_json (Json.of_string line) with
+  | Ok r -> check_bool "old line decodes to the same record" true
+              (r = sample_record ())
   | Error msg -> Alcotest.fail msg);
-  (* A hostless record omits the field entirely and reparses as None:
-     pre-host histories stay loadable (the schema is append-only). *)
-  let bare = sample_record () in
-  let json = Json.to_string (Perfdb.record_to_json bare) in
-  check_bool "no host field serialized" false
-    (Json.member "host" (Json.of_string json) <> None);
-  match Perfdb.record_of_json (Json.of_string json) with
-  | Ok r' -> check_bool "host is None" true (r'.Perfdb.host = None)
-  | Error msg -> Alcotest.fail msg
-
-let test_perfdb_kips_gate () =
-  let host kips = { Perfdb.wall_s = 1.0; kips; phases = [] } in
-  let old_run = [ sample_record ~host:(host 1000.0) () ] in
-  (* 60% host-speed drop crosses the (generous) 50% default. *)
-  let slow =
-    [ sample_record ~run_id:"0002-abc" ~host:(host 400.0) () ]
-  in
-  (match Perfdb.compare_runs ~old_run ~new_run:slow () with
-  | [ r ] ->
-    check_str "kips metric" "kips" r.Perfdb.r_metric;
-    check_bool "delta is the drop" true (r.Perfdb.r_delta_pct > 50.0)
-  | regs -> Alcotest.failf "expected 1 kips regression, got %d"
-              (List.length regs));
-  (* 40% stays under the default threshold; a missing host section on
-     either side disables the gate rather than firing it. *)
-  check_bool "40% drop passes" true
-    (Perfdb.compare_runs ~old_run
-       ~new_run:[ sample_record ~run_id:"0002-abc" ~host:(host 600.0) () ]
-       ()
-    = []);
-  check_bool "hostless new run passes" true
-    (Perfdb.compare_runs ~old_run
-       ~new_run:[ sample_record ~run_id:"0002-abc" () ]
-       ()
-    = [])
+  (* Records written now carry no host field at all. *)
+  check_bool "no host field serialized" true
+    (Json.member "host" (Perfdb.record_to_json (sample_record ())) = None)
 
 (* ------------------------------------------------------------------ *)
 (* Trace drop-kind accounting                                          *)
@@ -932,10 +904,8 @@ let () =
           Alcotest.test_case "append and load" `Quick test_perfdb_append_load;
           Alcotest.test_case "compare_runs thresholds" `Quick
             test_perfdb_compare_runs;
-          Alcotest.test_case "host section roundtrip" `Quick
-            test_perfdb_host_roundtrip;
-          Alcotest.test_case "kips regression gate" `Quick
-            test_perfdb_kips_gate;
+          Alcotest.test_case "old host line loads" `Quick
+            test_perfdb_old_host_line_loads;
         ] );
       ( "json",
         [
